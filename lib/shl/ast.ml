@@ -168,6 +168,11 @@ and free_vars_value bound acc = function
 let free_vars e = free_vars_expr Sset.empty Sset.empty e
 let is_closed e = Sset.is_empty (free_vars e)
 
+(** [binds g x]: the optional function name [g] is [x] — without
+    allocating the [Some x] a polymorphic [g = Some x] would build. *)
+let binds (g : string option) (x : string) =
+  match g with Some g -> String.equal g x | None -> false
+
 (** [subst x v e]: substitute the value [v] for [x] in [e].  [v] is
     required to be closed (always the case in CBV evaluation of closed
     programs), so substitution never captures. *)
@@ -176,11 +181,14 @@ let rec subst x v (e : expr) : expr =
   (* value literals can contain open closure bodies (the generator and
      parser both build them), and [free_vars] counts those occurrences —
      substitution must reach them or a step on [let] leaks a free
-     variable *)
-  | Val w -> Val (subst_value x v w)
+     variable; a literal it leaves alone (a scalar) is shared, not
+     copied *)
+  | Val w ->
+    let w' = subst_value x v w in
+    if w' == w then e else Val w'
   | Var y -> if String.equal x y then Val v else e
   | Rec (f, y, body) ->
-    if String.equal x y || f = Some x then e else Rec (f, y, subst x v body)
+    if String.equal x y || binds f x then e else Rec (f, y, subst x v body)
   | App (e1, e2) -> App (subst x v e1, subst x v e2)
   | Un_op (op, e1) -> Un_op (op, subst x v e1)
   | Bin_op (op, e1, e2) -> Bin_op (op, subst x v e1, subst x v e2)
@@ -211,8 +219,76 @@ and subst_value x v (w : value) : value =
   | Inj_l v1 -> Inj_l (subst_value x v v1)
   | Inj_r v1 -> Inj_r (subst_value x v v1)
   | Rec_fun (f, y, body) ->
-    if String.equal x y || f = Some x then w
+    if String.equal x y || binds f x then w
     else Rec_fun (f, y, subst x v body)
+
+(** The simultaneous substitution [x ↦ vx, f ↦ vf] of {!subst2}, with
+    the two bindings passed as plain arguments: plain mutual recursion
+    over the term, so a traversal allocates only the rebuilt nodes. *)
+let rec subst2_expr x vx f vf (e : expr) : expr =
+  match e with
+  | Val w ->
+    let w' = subst2_value x vx f vf w in
+    if w' == w then e else Val w'
+  | Var y ->
+    if String.equal x y then Val vx else if String.equal f y then Val vf else e
+  | Rec (g, y, body) -> Rec (g, y, subst2_binder2 x vx f vf g y body)
+  | App (e1, e2) -> App (subst2_expr x vx f vf e1, subst2_expr x vx f vf e2)
+  | Un_op (op, e1) -> Un_op (op, subst2_expr x vx f vf e1)
+  | Bin_op (op, e1, e2) ->
+    Bin_op (op, subst2_expr x vx f vf e1, subst2_expr x vx f vf e2)
+  | If (e1, e2, e3) ->
+    If
+      ( subst2_expr x vx f vf e1,
+        subst2_expr x vx f vf e2,
+        subst2_expr x vx f vf e3 )
+  | Pair_e (e1, e2) ->
+    Pair_e (subst2_expr x vx f vf e1, subst2_expr x vx f vf e2)
+  | Fst e1 -> Fst (subst2_expr x vx f vf e1)
+  | Snd e1 -> Snd (subst2_expr x vx f vf e1)
+  | Inj_l_e e1 -> Inj_l_e (subst2_expr x vx f vf e1)
+  | Inj_r_e e1 -> Inj_r_e (subst2_expr x vx f vf e1)
+  | Case (e0, (y, e1), (z, e2)) ->
+    Case
+      ( subst2_expr x vx f vf e0,
+        (y, subst2_under x vx f vf y e1),
+        (z, subst2_under x vx f vf z e2) )
+  | Ref e1 -> Ref (subst2_expr x vx f vf e1)
+  | Load e1 -> Load (subst2_expr x vx f vf e1)
+  | Store (e1, e2) ->
+    Store (subst2_expr x vx f vf e1, subst2_expr x vx f vf e2)
+  | Let (y, e1, e2) ->
+    Let (y, subst2_expr x vx f vf e1, subst2_under x vx f vf y e2)
+  | Seq (e1, e2) -> Seq (subst2_expr x vx f vf e1, subst2_expr x vx f vf e2)
+  | Fork e1 -> Fork (subst2_expr x vx f vf e1)
+  | Cas (e1, e2, e3) ->
+    Cas
+      ( subst2_expr x vx f vf e1,
+        subst2_expr x vx f vf e2,
+        subst2_expr x vx f vf e3 )
+
+and subst2_value x vx f vf (w : value) : value =
+  match w with
+  | Unit | Bool _ | Int _ | Loc _ -> w
+  | Pair (v1, v2) -> Pair (subst2_value x vx f vf v1, subst2_value x vx f vf v2)
+  | Inj_l v1 -> Inj_l (subst2_value x vx f vf v1)
+  | Inj_r v1 -> Inj_r (subst2_value x vx f vf v1)
+  | Rec_fun (g, y, body) -> Rec_fun (g, y, subst2_binder2 x vx f vf g y body)
+
+(* Under one binder [y]: binders shadow the two bindings one at a time;
+   when only one survives, fall back to the single-binding [subst]. *)
+and subst2_under x vx f vf (y : string) (e : expr) : expr =
+  if String.equal y x then if String.equal y f then e else subst f vf e
+  else if String.equal y f then subst x vx e
+  else subst2_expr x vx f vf e
+
+(* Under a [rec g y] binder pair. *)
+and subst2_binder2 x vx f vf (g : string option) (y : string) (body : expr) :
+    expr =
+  if String.equal y x || binds g x then
+    if String.equal y f || binds g f then body else subst f vf body
+  else if String.equal y f || binds g f then subst x vx body
+  else subst2_expr x vx f vf body
 
 (** [subst2 (x, vx) (f, vf) e]: simultaneous substitution of two closed
     values in a single traversal, with [x] taking precedence when
@@ -221,67 +297,14 @@ and subst_value x v (w : value) : value =
     (property-tested) — but does one pass over [e] instead of two.
 
     This is the β-rule for named recursive functions: one application
-    step substitutes both the argument and the function itself, and that
-    double traversal dominates the per-step cost of every loop written
-    with [rec].  *)
-let rec subst2 ((x, _) as bx : string * value) ((f, _) as bf : string * value)
-    (e : expr) : expr =
-  let sub = subst2 bx bf in
-  (* Binders shadow bindings one at a time; when only one of the two
-     survives, fall back to the single-binding substitution. *)
-  let under (bound : string) e =
-    if String.equal bound x then
-      if String.equal bound f then e else subst f (snd bf) e
-    else if String.equal bound f then subst x (snd bx) e
-    else sub e
-  in
-  match e with
-  | Val w -> Val (subst2_value bx bf w)
-  | Var y ->
-    if String.equal x y then Val (snd bx)
-    else if String.equal f y then Val (snd bf)
-    else e
-  | Rec (g, y, body) ->
-    let body =
-      if String.equal y x || g = Some x then
-        if String.equal y f || g = Some f then body else subst f (snd bf) body
-      else if String.equal y f || g = Some f then subst x (snd bx) body
-      else sub body
-    in
-    Rec (g, y, body)
-  | App (e1, e2) -> App (sub e1, sub e2)
-  | Un_op (op, e1) -> Un_op (op, sub e1)
-  | Bin_op (op, e1, e2) -> Bin_op (op, sub e1, sub e2)
-  | If (e1, e2, e3) -> If (sub e1, sub e2, sub e3)
-  | Pair_e (e1, e2) -> Pair_e (sub e1, sub e2)
-  | Fst e1 -> Fst (sub e1)
-  | Snd e1 -> Snd (sub e1)
-  | Inj_l_e e1 -> Inj_l_e (sub e1)
-  | Inj_r_e e1 -> Inj_r_e (sub e1)
-  | Case (e0, (y, e1), (z, e2)) -> Case (sub e0, (y, under y e1), (z, under z e2))
-  | Ref e1 -> Ref (sub e1)
-  | Load e1 -> Load (sub e1)
-  | Store (e1, e2) -> Store (sub e1, sub e2)
-  | Let (y, e1, e2) -> Let (y, sub e1, under y e2)
-  | Seq (e1, e2) -> Seq (sub e1, sub e2)
-  | Fork e1 -> Fork (sub e1)
-  | Cas (e1, e2, e3) -> Cas (sub e1, sub e2, sub e3)
-
-and subst2_value bx bf (w : value) : value =
-  match w with
-  | Unit | Bool _ | Int _ | Loc _ -> w
-  | Pair (v1, v2) -> Pair (subst2_value bx bf v1, subst2_value bx bf v2)
-  | Inj_l v1 -> Inj_l (subst2_value bx bf v1)
-  | Inj_r v1 -> Inj_r (subst2_value bx bf v1)
-  | Rec_fun (g, y, body) ->
-    let x, vx = bx and f, vf = bf in
-    let body =
-      if String.equal y x || g = Some x then
-        if String.equal y f || g = Some f then body else subst f vf body
-      else if String.equal y f || g = Some f then subst x vx body
-      else subst2 bx bf body
-    in
-    Rec_fun (g, y, body)
+    step substitutes both the argument and the function itself, and
+    every loop written with [rec] pays for it once per iteration.  The
+    traversal ({!subst2_expr}) takes the two bindings as plain
+    arguments, so a β step allocates exactly the rebuilt body and
+    nothing else. *)
+let subst2 ((x, vx) : string * value) ((f, vf) : string * value) (e : expr) :
+    expr =
+  subst2_expr x vx f vf e
 
 (** {1 Locations mentioned by a term}
 

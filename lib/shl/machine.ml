@@ -42,53 +42,54 @@ type view =
    constructor for constructor, so the normalised state is exactly the
    reference decomposition of the plugged program. *)
 let rec norm (k : Ctx.t) (e : expr) : t =
-  let into f e' = norm (f :: k) e' in
-  let redex () = { focus = e; ctx = k } in
+  (* Runs once per frame pushed or popped, so every arm builds its
+     result directly: a redex is [{ focus = e; ctx = k }], a descent is
+     [norm (frame :: k) e'] — no per-call helper closures. *)
   match e with
   | Val _ -> (
     match k with
     | [] -> { focus = e; ctx = [] }
     | f :: k' -> norm k' (Ctx.fill_frame f e))
-  | Var _ | Rec _ -> redex ()
-  | App (Val _, Val _) -> redex ()
-  | App (Val v1, e2) -> into (Ctx.App_r v1) e2
-  | App (e1, e2) -> into (Ctx.App_l e2) e1
-  | Un_op (_, Val _) -> redex ()
-  | Un_op (op, e1) -> into (Ctx.Un_op_f op) e1
-  | Bin_op (_, Val _, Val _) -> redex ()
-  | Bin_op (op, Val v1, e2) -> into (Ctx.Bin_op_r (op, v1)) e2
-  | Bin_op (op, e1, e2) -> into (Ctx.Bin_op_l (op, e2)) e1
-  | If (Val _, _, _) -> redex ()
-  | If (e1, e2, e3) -> into (Ctx.If_f (e2, e3)) e1
-  | Pair_e (Val _, Val _) -> redex ()
-  | Pair_e (Val v1, e2) -> into (Ctx.Pair_r v1) e2
-  | Pair_e (e1, e2) -> into (Ctx.Pair_l e2) e1
-  | Fst (Val _) -> redex ()
-  | Fst e1 -> into Ctx.Fst_f e1
-  | Snd (Val _) -> redex ()
-  | Snd e1 -> into Ctx.Snd_f e1
-  | Inj_l_e (Val _) -> redex ()
-  | Inj_l_e e1 -> into Ctx.Inj_l_f e1
-  | Inj_r_e (Val _) -> redex ()
-  | Inj_r_e e1 -> into Ctx.Inj_r_f e1
-  | Case (Val _, _, _) -> redex ()
-  | Case (e1, b1, b2) -> into (Ctx.Case_f (b1, b2)) e1
-  | Ref (Val _) -> redex ()
-  | Ref e1 -> into Ctx.Ref_f e1
-  | Load (Val _) -> redex ()
-  | Load e1 -> into Ctx.Load_f e1
-  | Store (Val _, Val _) -> redex ()
-  | Store (Val v1, e2) -> into (Ctx.Store_r v1) e2
-  | Store (e1, e2) -> into (Ctx.Store_l e2) e1
-  | Let (_, Val _, _) -> redex ()
-  | Let (x, e1, e2) -> into (Ctx.Let_f (x, e2)) e1
-  | Seq (e1, _) when is_value e1 -> redex ()
-  | Seq (e1, e2) -> into (Ctx.Seq_f e2) e1
-  | Fork _ -> redex ()
-  | Cas (Val _, Val _, Val _) -> redex ()
-  | Cas (Val v1, Val v2, e3) -> into (Ctx.Cas_3 (v1, v2)) e3
-  | Cas (Val v1, e2, e3) -> into (Ctx.Cas_2 (v1, e3)) e2
-  | Cas (e1, e2, e3) -> into (Ctx.Cas_1 (e2, e3)) e1
+  | Var _ | Rec _ -> { focus = e; ctx = k }
+  | App (Val _, Val _) -> { focus = e; ctx = k }
+  | App (Val v1, e2) -> norm (Ctx.App_r v1 :: k) e2
+  | App (e1, e2) -> norm (Ctx.App_l e2 :: k) e1
+  | Un_op (_, Val _) -> { focus = e; ctx = k }
+  | Un_op (op, e1) -> norm (Ctx.Un_op_f op :: k) e1
+  | Bin_op (_, Val _, Val _) -> { focus = e; ctx = k }
+  | Bin_op (op, Val v1, e2) -> norm (Ctx.Bin_op_r (op, v1) :: k) e2
+  | Bin_op (op, e1, e2) -> norm (Ctx.Bin_op_l (op, e2) :: k) e1
+  | If (Val _, _, _) -> { focus = e; ctx = k }
+  | If (e1, e2, e3) -> norm (Ctx.If_f (e2, e3) :: k) e1
+  | Pair_e (Val _, Val _) -> { focus = e; ctx = k }
+  | Pair_e (Val v1, e2) -> norm (Ctx.Pair_r v1 :: k) e2
+  | Pair_e (e1, e2) -> norm (Ctx.Pair_l e2 :: k) e1
+  | Fst (Val _) -> { focus = e; ctx = k }
+  | Fst e1 -> norm (Ctx.Fst_f :: k) e1
+  | Snd (Val _) -> { focus = e; ctx = k }
+  | Snd e1 -> norm (Ctx.Snd_f :: k) e1
+  | Inj_l_e (Val _) -> { focus = e; ctx = k }
+  | Inj_l_e e1 -> norm (Ctx.Inj_l_f :: k) e1
+  | Inj_r_e (Val _) -> { focus = e; ctx = k }
+  | Inj_r_e e1 -> norm (Ctx.Inj_r_f :: k) e1
+  | Case (Val _, _, _) -> { focus = e; ctx = k }
+  | Case (e1, b1, b2) -> norm (Ctx.Case_f (b1, b2) :: k) e1
+  | Ref (Val _) -> { focus = e; ctx = k }
+  | Ref e1 -> norm (Ctx.Ref_f :: k) e1
+  | Load (Val _) -> { focus = e; ctx = k }
+  | Load e1 -> norm (Ctx.Load_f :: k) e1
+  | Store (Val _, Val _) -> { focus = e; ctx = k }
+  | Store (Val v1, e2) -> norm (Ctx.Store_r v1 :: k) e2
+  | Store (e1, e2) -> norm (Ctx.Store_l e2 :: k) e1
+  | Let (_, Val _, _) -> { focus = e; ctx = k }
+  | Let (x, e1, e2) -> norm (Ctx.Let_f (x, e2) :: k) e1
+  | Seq (e1, _) when is_value e1 -> { focus = e; ctx = k }
+  | Seq (e1, e2) -> norm (Ctx.Seq_f e2 :: k) e1
+  | Fork _ -> { focus = e; ctx = k }
+  | Cas (Val _, Val _, Val _) -> { focus = e; ctx = k }
+  | Cas (Val v1, Val v2, e3) -> norm (Ctx.Cas_3 (v1, v2) :: k) e3
+  | Cas (Val v1, e2, e3) -> norm (Ctx.Cas_2 (v1, e3) :: k) e2
+  | Cas (e1, e2, e3) -> norm (Ctx.Cas_1 (e2, e3) :: k) e1
 
 let inject (e : expr) : t = norm [] e
 
@@ -98,9 +99,9 @@ let inject (e : expr) : t = norm [] e
 let plug (st : t) : expr = Ctx.fill st.ctx st.focus
 
 let view (st : t) : view =
-  match st.focus with
-  | Val v when st.ctx = [] -> V_value v
-  | e -> V_redex e
+  match st.focus, st.ctx with
+  | Val v, [] -> V_value v
+  | e, _ -> V_redex e
 
 (** Result of attempting one genuine head step of a thread in a heap.
     Mirrors {!Step.prim_step}'s [(config * kind, error) result] shape:
@@ -112,9 +113,11 @@ type step_result =
   | Stuck_redex of expr  (** the head redex in focus cannot step *)
 
 let step (heap : Heap.t) (st : t) : step_result =
-  match view st with
-  | V_value v -> Final v
-  | V_redex r -> (
+  (* matches the state directly rather than through [view], whose
+     result would be one more allocation per step *)
+  match st.focus, st.ctx with
+  | Val v, [] -> Final v
+  | r, _ -> (
     match Step.head_step heap r with
     | None -> Stuck_redex r
     | Some (e', h', kind) -> Stepped (norm st.ctx e', h', kind))
@@ -154,6 +157,21 @@ let prim_step (c : config) : (config * Step.kind, Step.error) result =
   | Final _ -> Error Step.Finished
   | Stuck_redex r -> Error (Step.Stuck r)
   | Stepped (th', h', kind) -> Ok ({ thread = th'; heap = h' }, kind)
+
+(** [steps_to_value c]: how many steps [c] takes to reach a value, when
+    that is at most [fuel] (default 10⁷); [None] when it needs more, or
+    gets stuck on the way.  Drives {!step} directly — the oracle
+    pre-runs of the termination and refinement drivers spend most of
+    their time here. *)
+let steps_to_value ?(fuel = 10_000_000) (c : config) : int option =
+  let rec go heap th n k =
+    match step heap th with
+    | Final _ -> Some k
+    | Stuck_redex _ -> None
+    | Stepped (th', heap', _) ->
+      if n = 0 then None else go heap' th' (n - 1) (k + 1)
+  in
+  go c.heap c.thread fuel 0
 
 (** {1 Differential (lockstep) mode}
 

@@ -60,6 +60,11 @@ val to_config : config -> Step.config
 val prim_step : config -> (config * Step.kind, Step.error) result
 (** Drop-in machine replacement for {!Step.prim_step}. *)
 
+val steps_to_value : ?fuel:int -> config -> int option
+(** Steps to reach a value, if at most [fuel] (default 10⁷): a run that
+    finishes in exactly [fuel] steps gives [Some fuel], one that needs
+    [fuel + 1] gives [None], and a stuck run gives [None]. *)
+
 (** {1 Differential (lockstep) mode} *)
 
 type mismatch = {

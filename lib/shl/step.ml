@@ -52,40 +52,45 @@ let eval_bin_op op v1 v2 =
   | Ptr_add, Loc l, Int n -> Some (Loc (l + n))
   | (Add | Sub | Mul | Quot | Rem | Lt | Le | Ptr_add), _, _ -> None
 
-(** One head step of the redex [e] in heap [h]. *)
+(** One head step of the redex [e] in heap [h].  Pure steps return
+    [h] itself; every arm builds its result directly (no helper
+    closures), since this runs once per machine step. *)
 let head_step (h : Heap.t) (e : expr) : (expr * Heap.t * kind) option =
-  let pure e' = Some (e', h, Pure) in
   match e with
-  | Rec (f, x, body) -> pure (Val (Rec_fun (f, x, body)))
+  | Rec (f, x, body) -> Some (Val (Rec_fun (f, x, body)), h, Pure)
   | App (Val (Rec_fun (f, x, body) as fv), Val v) ->
     (* One simultaneous pass for named recursion instead of two
        sequential ones — β is the hot path of every [rec] loop. *)
     let body =
       match f with
       | None -> subst x v body
-      | Some fname -> subst2 (x, v) (fname, fv) body
+      | Some fname -> subst2_expr x v fname fv body
     in
-    pure body
-  | Un_op (op, Val v) ->
-    Option.bind (eval_un_op op v) (fun v' -> pure (Val v'))
-  | Bin_op (op, Val v1, Val v2) ->
-    Option.bind (eval_bin_op op v1 v2) (fun v' -> pure (Val v'))
-  | If (Val (Bool true), e1, _) -> pure e1
-  | If (Val (Bool false), _, e2) -> pure e2
-  | Pair_e (Val v1, Val v2) -> pure (Val (Pair (v1, v2)))
-  | Fst (Val (Pair (v1, _))) -> pure (Val v1)
-  | Snd (Val (Pair (_, v2))) -> pure (Val v2)
-  | Inj_l_e (Val v) -> pure (Val (Inj_l v))
-  | Inj_r_e (Val v) -> pure (Val (Inj_r v))
-  | Case (Val (Inj_l v), (x, e1), _) -> pure (subst x v e1)
-  | Case (Val (Inj_r v), _, (y, e2)) -> pure (subst y v e2)
-  | Let (x, Val v, e2) -> pure (subst x v e2)
-  | Seq (Val _, e2) -> pure e2
+    Some (body, h, Pure)
+  | Un_op (op, Val v) -> (
+    match eval_un_op op v with Some v' -> Some (Val v', h, Pure) | None -> None)
+  | Bin_op (op, Val v1, Val v2) -> (
+    match eval_bin_op op v1 v2 with
+    | Some v' -> Some (Val v', h, Pure)
+    | None -> None)
+  | If (Val (Bool true), e1, _) -> Some (e1, h, Pure)
+  | If (Val (Bool false), _, e2) -> Some (e2, h, Pure)
+  | Pair_e (Val v1, Val v2) -> Some (Val (Pair (v1, v2)), h, Pure)
+  | Fst (Val (Pair (v1, _))) -> Some (Val v1, h, Pure)
+  | Snd (Val (Pair (_, v2))) -> Some (Val v2, h, Pure)
+  | Inj_l_e (Val v) -> Some (Val (Inj_l v), h, Pure)
+  | Inj_r_e (Val v) -> Some (Val (Inj_r v), h, Pure)
+  | Case (Val (Inj_l v), (x, e1), _) -> Some (subst x v e1, h, Pure)
+  | Case (Val (Inj_r v), _, (y, e2)) -> Some (subst y v e2, h, Pure)
+  | Let (x, Val v, e2) -> Some (subst x v e2, h, Pure)
+  | Seq (Val _, e2) -> Some (e2, h, Pure)
   | Ref (Val v) ->
     let l, h' = Heap.alloc v h in
     Some (Val (Loc l), h', Alloc l)
-  | Load (Val (Loc l)) ->
-    Option.map (fun v -> (Val v, h, Load_of l)) (Heap.lookup l h)
+  | Load (Val (Loc l)) -> (
+    match Heap.lookup l h with
+    | Some v -> Some (Val v, h, Load_of l)
+    | None -> None)
   | Store (Val (Loc l), Val v) ->
     if Heap.mem l h then Some (Val Unit, Heap.store l v h, Store_to l)
     else None

@@ -85,7 +85,7 @@ let verify (s : spec) : Wp.verdict = Wp.run ~credits:s.credit s.strategy s.prog
 (** Number of steps [f ()] takes (the [n_f] of §5.1), measured once —
     the analogue of having proved [{$n_f} f () {m. m ∈ ℕ}]. *)
 let cost_of_call (f : Ast.expr) : int option =
-  Wp.remaining_steps (Step.config (Ast.App (f, Ast.unit_)))
+  Machine.steps_to_value (Machine.config (Ast.App (f, Ast.unit_)))
 
 (** {1 §5.1 example 1: [e_two = f () + f ()] with finite credits} *)
 

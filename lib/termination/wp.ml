@@ -257,16 +257,6 @@ let countdown : strategy =
       (fun ~step_no:_ ~config:_ ~kind:_ ~credit -> Ord.pred credit);
   }
 
-(** Count the steps a configuration needs to terminate, within fuel. *)
-let remaining_steps ?(fuel = 10_000_000) (cfg : Step.config) : int option =
-  let rec go cfg n k =
-    match Machine.prim_step cfg with
-    | Error Step.Finished -> Some k
-    | Error (Step.Stuck _) -> None
-    | Ok (cfg', _) -> if n = 0 then None else go cfg' (n - 1) (k + 1)
-  in
-  go (Machine.of_config cfg) fuel 0
-
 (** Transfinite credits with dynamic instantiation: spend successor
     credit by decrementing; when the finite part is exhausted and a
     limit remains, instantiate the limit with the {e now-known} bound on
@@ -283,7 +273,8 @@ let adaptive ?fuel () : strategy =
           if Ord.is_zero credit then None
           else
             (* limit ordinal: learn the remaining bound dynamically *)
-            Option.map Ord.of_int (remaining_steps ?fuel config));
+            Option.map Ord.of_int
+              (Machine.steps_to_value ?fuel (Machine.of_config config)));
   }
 
 (** A strategy from an explicit ordinal descent (for tests). *)

@@ -68,8 +68,6 @@ val countdown : strategy
 (** Finite time credits: decrement; gives up at limit ordinals (it
     {e is} the bounded-termination baseline). *)
 
-val remaining_steps : ?fuel:int -> Step.config -> int option
-
 val adaptive : ?fuel:int -> unit -> strategy
 (** Decrement successor credit; instantiate a limit with the now-known
     bound on the rest of the run ([TSource]'s "decrease ω to k·n_f + 1

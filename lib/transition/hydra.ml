@@ -16,96 +16,115 @@
 
 module Ord = Tfiris_ordinal.Ord
 
-type tree = Node of tree list
+(* A hydra caches its size in every node.  A successor built by
+   {!chops} starts out {e suspended}: it records the hydra it was chopped
+   from, the site of the chopped head and its (already known) size, and
+   is materialised in place — once — the first time anything looks at
+   its structure.  Materialising rebuilds the path to the chopped head
+   and shares the rest with [parent], so every subtree of a materialised
+   successor is materialised too, and polymorphic equality on such
+   hydras is tree equality. *)
+type tree = {
+  size : int;
+  mutable shape : shape;
+}
 
-let leaf = Node []
-let size (Node _ as t) =
-  let rec go (Node ts) = 1 + List.fold_left (fun a t -> a + go t) 0 ts in
-  go t
+and shape =
+  | Node of tree list
+  | Chop of {
+      parent : tree;  (** materialised *)
+      site : int list;
+          (** child indices from the chopped head up to the root *)
+      regrow : int;
+    }
 
-let heads (Node _ as t) =
-  let rec go (Node ts) =
-    if ts = [] then 1 else List.fold_left (fun a t -> a + go t) 0 ts
+let node ts = { size = List.fold_left (fun a t -> a + t.size) 1 ts; shape = Node ts }
+let leaf = node []
+let size t = t.size
+
+(* [chop_at ~regrow t path]: chop the head at [path] (child indices,
+   root first) below [t]; returns [t]'s replacement and the copies of it
+   to regrow at [t]'s parent:
+   - a leaf child disappears, and the post-chop node regrows [regrow]
+     times at the parent;
+   - otherwise the copies from below regrow here. *)
+let rec chop_at ~regrow t path : tree * tree list =
+  let ts = children t in
+  match path with
+  | [ i ] ->
+    let after = node (List.filteri (fun j _ -> j <> i) ts) in
+    (after, List.init regrow (fun _ -> after))
+  | i :: rest ->
+    let child', copies = chop_at ~regrow (List.nth ts i) rest in
+    (node (List.mapi (fun j c -> if j = i then child' else c) ts @ copies), [])
+  | [] -> invalid_arg "Hydra: empty chop site"
+
+and children t =
+  match t.shape with
+  | Node ts -> ts
+  | Chop { parent; site; regrow } ->
+    (* At the root, copies of a maimed root-level node are dropped: a
+       root-level head regrows nothing (the standard rule). *)
+    let t', _ = chop_at ~regrow parent (List.rev site) in
+    t.shape <- t'.shape;
+    children t'
+
+let heads t =
+  let rec go t =
+    match children t with
+    | [] -> 1
+    | ts -> List.fold_left (fun a t -> a + go t) 0 ts
   in
   go t
 
 (** μ(node ts) = ⊕ ω^(μ t): Hessenberg so the order of children is
     irrelevant. *)
-let rec measure (Node ts) : Ord.t =
-  Ord.hsum_list (List.map (fun t -> Ord.omega_pow (measure t)) ts)
+let rec measure t : Ord.t =
+  Ord.hsum_list (List.map (fun t -> Ord.omega_pow (measure t)) (children t))
 
-let rec pp ppf (Node ts) =
-  if ts = [] then Format.pp_print_string ppf "\xe2\x80\xa2"
-  else
+let rec pp ppf t =
+  match children t with
+  | [] -> Format.pp_print_string ppf "\xe2\x80\xa2"
+  | ts ->
     Format.fprintf ppf "(%a)"
       (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.pp_print_string ppf " ") pp)
       ts
 
-(** All hydras reachable by chopping one head, with regrowth [n]:
+(** All hydras reachable by chopping one head, with regrowth [regrow]:
     - a leaf child of the root disappears;
     - a leaf at depth ≥ 2: its parent loses the leaf, and the
-      grandparent gains [n] extra copies of the (post-chop) parent. *)
-let chops ~regrow (Node roots) : tree list =
-  (* chop inside a grandchild context: returns possible replacements of
-     a node together with the list of sibling copies to regrow *)
-  let rec chop_in (Node ts) : (tree * tree list) list =
-    (* either chop a leaf child of this node (regrow copies of the
-       post-chop node at our parent)... *)
-    let here =
-      List.concat_map
-        (fun (i, child) ->
-          match child with
-          | Node [] ->
-            let remaining = List.filteri (fun j _ -> j <> i) ts in
-            let after = Node remaining in
-            [ (after, List.init regrow (fun _ -> after)) ]
-          | Node _ -> [])
-        (List.mapi (fun i c -> (i, c)) ts)
+      grandparent gains [regrow] extra copies of the (post-chop) parent.
+
+    Order: below each node, its leaf children's chops come first (in
+    child order), then those below each inner child (in child order).
+    Each successor is suspended, with its size computed in O(1) as
+    [size t − 1 + regrow·(size parent − 1)] ([parent] being the chopped
+    head's parent; no regrowth at the root), so a call costs
+    O(#heads + size t) and a successor is built only if it is looked
+    at. *)
+let chops ~regrow (t : tree) : tree list =
+  let suspend site size = { size; shape = Chop { parent = t; site; regrow } } in
+  (* the successors for the heads below [n] (reached by [site]),
+     followed by [tail] *)
+  let rec below n ~root site tail =
+    let ts = children n in
+    let head_size =
+      if root then t.size - 1 else t.size - 1 + (regrow * (n.size - 1))
     in
-    (* ...or recurse into a non-leaf child; the copies regrow HERE *)
-    let deeper =
-      List.concat_map
-        (fun (i, child) ->
-          match child with
-          | Node [] -> []
-          | Node _ ->
-            List.map
-              (fun (child', copies) ->
-                let ts' =
-                  List.mapi (fun j c -> if j = i then child' else c) ts
-                in
-                (Node (ts' @ copies), []))
-              (chop_in child))
-        (List.mapi (fun i c -> (i, c)) ts)
+    let rec leaves i = function
+      | [] -> inner 0 ts
+      | c :: cs ->
+        if c.size = 1 then suspend (i :: site) head_size :: leaves (i + 1) cs
+        else leaves (i + 1) cs
+    and inner i = function
+      | [] -> tail
+      | c :: cs ->
+        if c.size = 1 then inner (i + 1) cs
+        else below c ~root:false (i :: site) (inner (i + 1) cs)
     in
-    here @ deeper
+    leaves 0 ts
   in
-  (* At the root: chopping a root-level leaf just removes it, no
-     regrowth (the standard rule). *)
-  let root_level =
-    List.concat_map
-      (fun (i, child) ->
-        match child with
-        | Node [] -> [ Node (List.filteri (fun j _ -> j <> i) roots) ]
-        | Node _ -> [])
-      (List.mapi (fun i c -> (i, c)) roots)
-  in
-  let deeper =
-    List.concat_map
-      (fun (i, child) ->
-        match child with
-        | Node [] -> []
-        | Node _ ->
-          List.map
-            (fun (child', copies) ->
-              let roots' =
-                List.mapi (fun j c -> if j = i then child' else c) roots
-              in
-              Node (roots' @ copies))
-            (chop_in child))
-      (List.mapi (fun i c -> (i, c)) roots)
-  in
-  root_level @ deeper
+  below t ~root:true [] []
 
 (** The game as a measured transition system. *)
 let system ~regrow : tree Measure.t =
@@ -114,11 +133,11 @@ let system ~regrow : tree Measure.t =
 (** Some hydras. *)
 let line n =
   (* a path of length n *)
-  let rec go k = if k = 0 then leaf else Node [ go (k - 1) ] in
-  Node [ go n ]
+  let rec go k = if k = 0 then leaf else node [ go (k - 1) ] in
+  node [ go n ]
 
 let bush ~width ~depth =
-  let rec go d = if d = 0 then leaf else Node (List.init width (fun _ -> go (d - 1))) in
+  let rec go d = if d = 0 then leaf else node (List.init width (fun _ -> go (d - 1))) in
   go depth
 
 (** Greedy strategies for Hercules (the point is that {e any} strategy
@@ -129,8 +148,9 @@ let choose_fattest succs =
   match succs with
   | [] -> invalid_arg "no successor"
   | s :: rest ->
-    (* adversarial: keep the hydra as big as possible *)
-    List.fold_left (fun best s' -> if size s' > size best then s' else best) s rest
+    (* adversarial: keep the hydra as big as possible (the first of the
+       biggest, compared by cached size — nothing is materialised) *)
+    List.fold_left (fun best s' -> if s'.size > best.size then s' else best) s rest
 
 (** Play to the death; the result is the number of chops. *)
 let play ?(regrow = 2) ~choose (h : tree) : (int, tree Measure.violation) result

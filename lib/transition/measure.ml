@@ -35,11 +35,16 @@ type 'a violation = {
     obligation [∀ t {tgt t'. measure t > measure t']). *)
 let validate ?(bound = 10_000) (sys : 'a t) (start : 'a) :
     ('a violation option, string) result =
-  let rec go frontier seen n =
-    match frontier with
-    | [] -> Ok None
-    | _ when n <= 0 -> Error "state bound exhausted before full validation"
-    | s :: rest -> (
+  (* Breadth-first.  States are compared with polymorphic equality, and
+     each is measured before it is compared, so a lazily built state
+     (a {!Hydra} successor) is materialised by then. *)
+  let frontier = Queue.create () in
+  Queue.add start frontier;
+  let rec go seen n =
+    match Queue.take_opt frontier with
+    | None -> Ok None
+    | Some _ when n <= 0 -> Error "state bound exhausted before full validation"
+    | Some s -> (
       let m = sys.measure s in
       let succs = sys.step s in
       match
@@ -56,9 +61,10 @@ let validate ?(bound = 10_000) (sys : 'a t) (start : 'a) :
              })
       | None ->
         let fresh = List.filter (fun s' -> not (List.mem s' seen)) succs in
-        go (rest @ fresh) (fresh @ seen) (n - 1))
+        List.iter (fun s' -> Queue.add s' frontier) fresh;
+        go (fresh @ seen) (n - 1))
   in
-  go [ start ] [ start ] bound
+  go [ start ] bound
 
 (** Run to termination under a successor-choice function, re-validating
     the strict descent at every step; the descent makes fuel

@@ -23,8 +23,10 @@ type 'a violation = {
 val validate :
   ?bound:int -> 'a t -> 'a -> ('a violation option, string) result
 (** Check the descent invariant on the reachable fragment (bounded
-    exploration): [Ok None] = validated, [Ok (Some v)] = counterexample,
-    [Error _] = bound exhausted. *)
+    breadth-first exploration): [Ok None] = validated, [Ok (Some v)] =
+    counterexample, [Error _] = bound exhausted.  States are
+    deduplicated with polymorphic equality, each one only after it has
+    been measured. *)
 
 val run : 'a t -> choose:('a list -> 'a) -> 'a -> ('a list, 'a violation) result
 (** Run to termination under any successor choice, re-validating strict

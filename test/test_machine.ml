@@ -227,6 +227,25 @@ let test_lockstep_outcomes () =
   | o ->
     Alcotest.failf "expected out of fuel at 50, got %a" Machine.pp_lockstep o
 
+(* ---------- counting steps to a value ---------- *)
+
+(* steps_to_value's fuel is exact: a run of exactly [fuel] steps fits, a
+   run of [fuel + 1] does not, and a stuck run never counts. *)
+let test_steps_to_value () =
+  let e = parse "(rec f n. if n = 0 then 0 else f (n - 1)) 5" in
+  let n =
+    match Machine.lockstep e with
+    | Machine.Agree_value (_, _, n) -> n
+    | o -> Alcotest.failf "expected a value, got %a" Machine.pp_lockstep o
+  in
+  let count ?fuel e = Machine.steps_to_value ?fuel (Machine.config e) in
+  Alcotest.(check (option int)) "default fuel" (Some n) (count e);
+  Alcotest.(check (option int)) "exactly fuel steps" (Some n) (count ~fuel:n e);
+  Alcotest.(check (option int)) "fuel + 1 steps" None (count ~fuel:(n - 1) e);
+  Alcotest.(check (option int)) "a value takes none" (Some 0)
+    (count ~fuel:0 (parse "42"));
+  Alcotest.(check (option int)) "stuck" None (count (parse "1 + (2 + true)"))
+
 (* ---------- the heap's allocation counter ---------- *)
 
 let test_heap_counter () =
@@ -259,6 +278,8 @@ let suite =
     Alcotest.test_case "fork: machine refuses, step_fork consumes" `Quick
       test_fork_machine;
     Alcotest.test_case "lockstep outcome goldens" `Quick test_lockstep_outcomes;
+    Alcotest.test_case "steps_to_value: exact fuel boundary" `Quick
+      test_steps_to_value;
     Alcotest.test_case "heap allocation counter is O(1) and monotone" `Quick
       test_heap_counter;
   ]

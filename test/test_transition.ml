@@ -148,6 +148,140 @@ let hydra_descent_prop =
            (fun h' -> Ord.lt (Hydra.measure h') m)
            (Hydra.chops ~regrow h)))
 
+(* ---------- hydra successors against an eager reference ---------- *)
+
+(* The reference: hydras as plain trees and every successor built
+   eagerly — the straightforward rule [Hydra.chops] must reproduce,
+   successor for successor and in the same order. *)
+type ref_tree = R of ref_tree list
+
+let rec ref_size (R ts) = List.fold_left (fun a t -> a + ref_size t) 1 ts
+let rec of_ref (R ts) = Hydra.node (List.map of_ref ts)
+
+let ref_chops ~regrow (R roots) : ref_tree list =
+  let indexed ts = List.mapi (fun i c -> (i, c)) ts in
+  let rec chop_in (R ts) : (ref_tree * ref_tree list) list =
+    let here =
+      List.concat_map
+        (fun (i, child) ->
+          match child with
+          | R [] ->
+            let after = R (List.filteri (fun j _ -> j <> i) ts) in
+            [ (after, List.init regrow (fun _ -> after)) ]
+          | R _ -> [])
+        (indexed ts)
+    in
+    let deeper =
+      List.concat_map
+        (fun (i, child) ->
+          match child with
+          | R [] -> []
+          | R _ ->
+            List.map
+              (fun (child', copies) ->
+                (R (List.mapi (fun j c -> if j = i then child' else c) ts @ copies), []))
+              (chop_in child))
+        (indexed ts)
+    in
+    here @ deeper
+  in
+  let root_level =
+    List.concat_map
+      (fun (i, child) ->
+        match child with
+        | R [] -> [ R (List.filteri (fun j _ -> j <> i) roots) ]
+        | R _ -> [])
+      (indexed roots)
+  in
+  let deeper =
+    List.concat_map
+      (fun (i, child) ->
+        match child with
+        | R [] -> []
+        | R _ ->
+          List.map
+            (fun (child', copies) ->
+              R (List.mapi (fun j c -> if j = i then child' else c) roots @ copies))
+            (chop_in child))
+      (indexed roots)
+  in
+  root_level @ deeper
+
+let ref_fattest = function
+  | [] -> invalid_arg "no successor"
+  | s :: rest ->
+    List.fold_left (fun best s' -> if ref_size s' > ref_size best then s' else best) s rest
+
+let ref_tree_gen : ref_tree Q.Gen.t =
+  let open Q.Gen in
+  let rec go depth =
+    if depth = 0 then return (R [])
+    else map (fun ts -> R ts) (list_size (int_range 0 3) (go (depth - 1)))
+  in
+  int_range 0 3 >>= go
+
+let rec ref_print (R ts) =
+  if ts = [] then "." else "(" ^ String.concat " " (List.map ref_print ts) ^ ")"
+
+let show_hydra = Format.asprintf "%a" Hydra.pp
+
+let hydra_chops_agree_prop =
+  QCheck_alcotest.to_alcotest
+    (Q.Test.make ~count:300 ~name:"Hydra.chops ≡ eager reference chops"
+       ~print:(fun (h, r) -> Printf.sprintf "%s, regrow %d" (ref_print h) r)
+       (Q.Gen.pair ref_tree_gen (Q.Gen.int_range 0 4))
+       (fun (h, regrow) ->
+         let expected = ref_chops ~regrow h in
+         let succs = Hydra.chops ~regrow (of_ref h) in
+         (* sizes and the adversarial choice come from the suspended
+            successors, before anything materialises them *)
+         let sizes = List.map Hydra.size succs in
+         let fattest =
+           match succs with [] -> None | _ -> Some (Hydra.choose_fattest succs)
+         in
+         List.length succs = List.length expected
+         && sizes = List.map ref_size expected
+         && List.for_all2
+              (fun s e ->
+                let e = of_ref e in
+                String.equal (show_hydra s) (show_hydra e)
+                && Ord.equal (Hydra.measure s) (Hydra.measure e))
+              succs expected
+         && Option.map show_hydra fattest
+            = Option.map
+                (fun e -> show_hydra (of_ref e))
+                (match expected with [] -> None | _ -> Some (ref_fattest expected))))
+
+(* Every strategy kills a depth-2 bush of width [w] in [w·f(w)] chops,
+   [f 0 = 1], [f k = 1 + (r+1)·f(k−1)]: pinned on every (width, regrow)
+   pair the benchmark's search workload plays, for both strategies. *)
+let test_hydra_chop_counts () =
+  let closed_form w r =
+    let rec f k = if k = 0 then 1 else 1 + ((r + 1) * f (k - 1)) in
+    w * f w
+  in
+  Alcotest.(check int) "bush 3x2, regrow 4" 468 (closed_form 3 4);
+  List.iter
+    (fun (w, r) ->
+      List.iter
+        (fun (choose, strategy) ->
+          match Hydra.play ~regrow:r ~choose (Hydra.bush ~width:w ~depth:2) with
+          | Ok n ->
+            Alcotest.(check int)
+              (Printf.sprintf "bush %dx2, regrow %d, %s" w r strategy)
+              (closed_form w r) n
+          | Error _ -> Alcotest.failf "bush %dx2, regrow %d: measure violation" w r)
+        [ (Hydra.choose_first, "greedy"); (Hydra.choose_fattest, "adversarial") ])
+    [ (2, 1); (2, 2); (2, 3); (2, 4); (3, 1); (3, 2); (3, 3); (3, 4); (4, 1); (4, 2); (4, 3) ]
+
+(* validate compares states with polymorphic equality (List.mem): the
+   suspended successors must not break it. *)
+let test_hydra_validate () =
+  match Measure.validate (Hydra.system ~regrow:2) (Hydra.bush ~width:2 ~depth:2) with
+  | Ok None -> ()
+  | Ok (Some _) -> Alcotest.fail "hydra measure wrongly refuted"
+  | Error m -> Alcotest.fail m
+
 (* ---------- properties: simulation adequacy on random systems ---------- *)
 
 let prop name f =
@@ -216,5 +350,10 @@ let suite =
     Alcotest.test_case "hydra always dies" `Quick test_hydra_dies;
     Alcotest.test_case "hydra measures" `Quick test_hydra_measure;
     hydra_descent_prop;
+    hydra_chops_agree_prop;
+    Alcotest.test_case "hydra chop counts: closed form, both strategies" `Quick
+      test_hydra_chop_counts;
+    Alcotest.test_case "hydra measure validates (lazy successors)" `Quick
+      test_hydra_validate;
   ]
   @ properties
