@@ -2,7 +2,7 @@
 # pre-push check (build + tests + CLI smoke + quick bench + perf gate).
 
 .PHONY: all build test test-domains bench baseline chaos ledger \
-  ledger-baseline analyze-baseline corpus verify clean
+  ledger-baseline analyze-baseline corpus explore-smoke verify clean
 
 all: build
 
@@ -84,6 +84,18 @@ corpus: build
 	dune exec bin/tfiris_cli.exe -- report --diff CORPUS_cold.jsonl CORPUS_warm.jsonl
 	dune exec bin/tfiris_cli.exe -- cache stats --cache=$(CACHE)
 
+# Cross-domain explorer smoke: the sequential explorer and the
+# 2-domain work-stealing one must print byte-identical stdout on the
+# example CAS counter, and that stdout is its one outcome and state
+# count.
+explore-smoke: build
+	dune exec bin/tfiris_cli.exe -- run --domains=1 \
+	  examples/shl/conc_locked.shl > EXPLORE_d1.out
+	dune exec bin/tfiris_cli.exe -- run --domains=2 \
+	  examples/shl/conc_locked.shl > EXPLORE_d2.out
+	printf 'final: 2\nstates: 800\n' | diff -u - EXPLORE_d1.out
+	diff -u EXPLORE_d1.out EXPLORE_d2.out
+
 # The perf and memory gates compare against a baseline usually
 # recorded on a different machine, so both thresholds are deliberately
 # loose (4x); use `bench --compare` against a locally saved baseline
@@ -103,6 +115,7 @@ verify: build test
 	  run examples/shl/memo_fib.shl
 	dune exec bin/tfiris_cli.exe -- chaos --seeds=10 --out=CHAOS_report.json
 	$(MAKE) corpus
+	$(MAKE) explore-smoke
 	dune exec bench/main.exe -- --quick --out=BENCH_obs.json \
 	  --compare=BENCH_history/baseline-quick.json --threshold=4 \
 	  --mem-threshold=4

@@ -161,30 +161,47 @@ type exploration = {
       (** per-domain split; [[]] for the sequential engine *)
 }
 
-(** Canonical visited-set key.  Keying the table on raw [cfg] values is
-    wrong: [Heap.t] is an AVL map (plus an allocation counter), so
-    semantically equal heaps built in different insertion orders have
-    different tree shapes and hash/compare unequal — the exhaustive
-    oracle then re-explores states it has already seen.
-    [Heap.bindings] is sorted and [Machine.plug] rebuilds the program
-    text, so equal states collide exactly. *)
-let canon_key (c : cfg) : (expr list * (loc * value) list) =
-  (thread_exprs c, Heap.bindings c.heap)
+(** Canonical visited-set key: the configuration itself.  A normalised
+    {!Machine.t} is the unique CBV decomposition of its plugged program
+    (the invariant of {!Machine}, checked step by step by
+    {!Machine.lockstep}), so two threads plug to the same program iff
+    their focus and frame stacks are equal — the frame stacks identify
+    states exactly, with no plugging.  The heap is compared by its
+    sorted bindings ({!Heap.same_bindings}), never as an AVL tree: the
+    same heap built in different insertion orders has different tree
+    shapes.  [compare _ _ = 0] rather than [=], because [compare] skips
+    the frames and values a state physically shares with its
+    predecessor. *)
+let same_state (a : cfg) (b : cfg) =
+  compare a.threads b.threads = 0 && Heap.same_bindings a.heap b.heap
 
-(* The key's structural hash is computed once per configuration, at
-   enqueue time, and carried next to the key: membership tests (and,
-   in the parallel engine, shard selection) never re-hash the plugged
-   programs + sorted bindings spine again. *)
-type hkey = int * (expr list * (loc * value) list)
+(* [Hashtbl.hash] stops after 10 meaningful words, so hashing a whole
+   configuration in one call sees little more than thread 0's focus;
+   instead every focus, every frame and every heap binding is hashed
+   separately and folded in.  The final [Hashtbl.hash] of the fold
+   scrambles it into 30 well-mixed bits. *)
+let state_hash (c : cfg) : int =
+  let mix acc x = (acc * 65599) + x in
+  let thread acc (th : Machine.t) =
+    List.fold_left
+      (fun acc f -> mix acc (Hashtbl.hash f))
+      (mix acc (Hashtbl.hash th.Machine.focus))
+      th.Machine.ctx
+  in
+  let threads = List.fold_left thread 0 c.threads in
+  Hashtbl.hash (mix threads (Heap.hash_bindings c.heap))
 
-let hashed_key (c : cfg) : hkey =
-  let k = canon_key c in
-  (Hashtbl.hash k, k)
+(* The hash is computed once per configuration, when it is generated,
+   and carried next to it: membership tests (and, in the parallel
+   engine, shard selection) never re-hash the state. *)
+type hkey = int * cfg
+
+let hashed_key (c : cfg) : hkey = (state_hash c, c)
 
 module Ktbl = Hashtbl.Make (struct
   type t = hkey
 
-  let equal ((h1, k1) : t) ((h2, k2) : t) = h1 = h2 && k1 = k2
+  let equal ((h1, c1) : t) ((h2, c2) : t) = h1 = h2 && same_state c1 c2
   let hash ((h, _) : t) = h
 end)
 
@@ -220,7 +237,7 @@ let explore_seq ?max_states ?budget ?on_state (c : cfg) : exploration =
     }
   in
   Queue.add c queue;
-  Ktbl.replace visited (hashed_key c) ();
+  Ktbl.add visited (hashed_key c) ();
   let _ = Budget.state m in
   while not (Queue.is_empty queue || !aborted) do
     let c = Queue.pop queue in
@@ -245,7 +262,7 @@ let explore_seq ?max_states ?budget ?on_state (c : cfg) : exploration =
               if not (Ktbl.mem visited k) then
                 if not (Budget.state m) then out_of_states := true
                 else begin
-                  Ktbl.replace visited k ();
+                  Ktbl.add visited k ();
                   Queue.add c' queue
                 end
             | T_value -> ()
@@ -291,7 +308,12 @@ module Par_explore = struct
 
   type shard = { smu : Mutex.t; tbl : unit Ktbl.t }
 
-  let nshards = 64 (* power of two: shard index is [hash land mask] *)
+  (* The shard index takes the top 6 of the hash's 30 bits.  Each
+     shard's table picks its bucket from the low bits, so a shard index
+     drawn from the low bits would send all of a shard's states into
+     one bucket in 64. *)
+  let nshards = 64
+  let shard_shift = 24
 
   let explore ?max_states ?budget ?on_state ~domains (c0 : cfg) : exploration =
     let n = max 1 domains in
@@ -305,7 +327,7 @@ module Par_explore = struct
       Array.init nshards (fun _ ->
           { smu = Mutex.create (); tbl = Ktbl.create 64 })
     in
-    let shard_of h = shards.(h land (nshards - 1)) in
+    let shard_of h = shards.((h lsr shard_shift) land (nshards - 1)) in
     let visited_count = Atomic.make 0 in
     (* enqueued-but-not-fully-expanded configurations: when this hits 0
        no further work can ever appear, which is the termination signal
@@ -334,7 +356,7 @@ module Par_explore = struct
     (* The initial configuration mirrors the sequential engine: marked
        unconditionally, charged once with the result ignored. *)
     let hk0 = hashed_key c0 in
-    Ktbl.replace (shard_of (fst hk0)).tbl hk0 ();
+    Ktbl.add (shard_of (fst hk0)).tbl hk0 ();
     Atomic.incr visited_count;
     let (_ : bool) = Budget.Shared.state m in
     Atomic.incr pending;
@@ -411,7 +433,7 @@ module Par_explore = struct
                  Mutex.lock s.smu;
                  if Ktbl.mem s.tbl hk then Mutex.unlock s.smu
                  else if Budget.Shared.state m then begin
-                   Ktbl.replace s.tbl hk ();
+                   Ktbl.add s.tbl hk ();
                    Mutex.unlock s.smu;
                    Atomic.incr visited_count;
                    push wid c'

@@ -20,8 +20,18 @@ type cfg = {
 val init : ?heap:Heap.t -> expr -> cfg
 
 val thread_exprs : cfg -> expr list
-(** The threads as whole programs (plugged) — canonical form for keys
-    and debugging; O(frame-stack depth) each. *)
+(** The threads as whole programs (plugged) — for outcomes and
+    debugging; O(frame-stack depth) each. *)
+
+val same_state : cfg -> cfg -> bool
+(** The explorer's state identity: equal thread lists (focus and frame
+    stack — a normalised {!Machine.t} is the unique decomposition of
+    its plugged program, so this is equality of {!thread_exprs}) and
+    equal sorted heap bindings, whatever the heaps' tree shapes. *)
+
+val state_hash : cfg -> int
+(** A hash consistent with {!same_state} that depends on every
+    thread's focus, every frame and every heap binding. *)
 
 val main_value : cfg -> value option
 (** The main thread's value, once it has one. *)
@@ -95,10 +105,10 @@ val explore :
   exploration
 (** All interleavings, by memoized reachability over configurations
     (finite for the spin-loop programs here).  The visited set is keyed
-    on a canonical form — plugged thread programs plus sorted heap
-    bindings — so states whose heaps were built in different insertion
-    orders are recognised as equal; the key's structural hash is cached
-    per configuration at enqueue.
+    on the configurations themselves under {!same_state} — so states
+    whose heaps were built in different insertion orders are recognised
+    as equal — and each configuration's {!state_hash} is computed once,
+    when it is generated.
 
     [~domains:n] with [n >= 2] switches to the work-stealing parallel
     engine ({!Par_explore}); omitted, the [TFIRIS_DOMAINS] environment

@@ -64,6 +64,19 @@ let alloc_block vs (h : t) =
 let equal (a : t) (b : t) =
   M.equal (fun v1 v2 -> Ast.value_eq v1 v2 = Some true) a.map b.map
 
+(* Structural identity of the bindings, whatever the tree shapes and
+   allocation counters: [same_bindings a b] iff [bindings a = bindings
+   b], without building either list.  [compare] skips values that are
+   physically shared, which successive states of one execution mostly
+   are. *)
+let same_bindings (a : t) (b : t) =
+  a.map == b.map || M.equal (fun v1 v2 -> compare v1 v2 = 0) a.map b.map
+
+(* Every binding folded in location order, so the hash does not
+   depend on the tree shape: [same_bindings] heaps hash equal. *)
+let hash_bindings (h : t) =
+  M.fold (fun l v acc -> (((acc * 65599) + l) * 65599) + Hashtbl.hash v) h.map 0
+
 (** [disjoint_union a b]: the union of two heaps with disjoint domains,
     or [None] on overlap — heap composition in the separation-logic
     sense. *)

@@ -39,6 +39,17 @@ val set_alloc_fault : (int -> bool) -> unit
 val clear_alloc_fault : unit -> unit
 
 val equal : t -> t -> bool
+(** Observational equality of the bindings ({!Ast.value_eq}: closures
+    are incomparable, so a heap holding one equals nothing). *)
+
+val same_bindings : t -> t -> bool
+(** Structural identity of the bindings, independent of tree shape and
+    allocation counter: [same_bindings a b] iff [bindings a = bindings
+    b], without building either list. *)
+
+val hash_bindings : t -> int
+(** A hash of every binding, independent of tree shape: heaps with
+    {!same_bindings} hash equal. *)
 
 val disjoint_union : t -> t -> t option
 (** Heap composition in the separation-logic sense; [None] on domain

@@ -119,8 +119,9 @@ let step (heap : Heap.t) (st : t) : step_result =
   | Val v, [] -> Final v
   | r, _ -> (
     match Step.head_step heap r with
-    | None -> Stuck_redex r
-    | Some (e', h', kind) -> Stepped (norm st.ctx e', h', kind))
+    | Step.No_step -> Stuck_redex r
+    | Step.Pure_step e' -> Stepped (norm st.ctx e', heap, Step.Pure)
+    | Step.Heap_step (e', h', kind) -> Stepped (norm st.ctx e', h', kind))
 
 (** [step_fork st]: if the focus is a [fork body] redex, consume it —
     return the spawned body and the parent thread with the hole filled
@@ -160,16 +161,21 @@ let prim_step (c : config) : (config * Step.kind, Step.error) result =
 
 (** [steps_to_value c]: how many steps [c] takes to reach a value, when
     that is at most [fuel] (default 10⁷); [None] when it needs more, or
-    gets stuck on the way.  Drives {!step} directly — the oracle
-    pre-runs of the termination and refinement drivers spend most of
-    their time here. *)
+    gets stuck on the way.  The oracle pre-runs of the termination and
+    refinement drivers spend most of their time here, so it is {!step}
+    inlined: it drives {!Step.head_step} and {!norm} directly and builds
+    no [Stepped] per step. *)
 let steps_to_value ?(fuel = 10_000_000) (c : config) : int option =
-  let rec go heap th n k =
-    match step heap th with
-    | Final _ -> Some k
-    | Stuck_redex _ -> None
-    | Stepped (th', heap', _) ->
-      if n = 0 then None else go heap' th' (n - 1) (k + 1)
+  let rec go heap (th : t) n k =
+    match th.focus, th.ctx with
+    | Val _, [] -> Some k
+    | r, ctx -> (
+      match Step.head_step heap r with
+      | Step.No_step -> None
+      | Step.Pure_step e' ->
+        if n = 0 then None else go heap (norm ctx e') (n - 1) (k + 1)
+      | Step.Heap_step (e', heap', _) ->
+        if n = 0 then None else go heap' (norm ctx e') (n - 1) (k + 1))
   in
   go c.heap c.thread fuel 0
 

@@ -52,12 +52,21 @@ let eval_bin_op op v1 v2 =
   | Ptr_add, Loc l, Int n -> Some (Loc (l + n))
   | (Add | Sub | Mul | Quot | Rem | Lt | Le | Ptr_add), _, _ -> None
 
-(** One head step of the redex [e] in heap [h].  Pure steps return
-    [h] itself; every arm builds its result directly (no helper
-    closures), since this runs once per machine step. *)
-let head_step (h : Heap.t) (e : expr) : (expr * Heap.t * kind) option =
+(** What one head step does.  A pure step carries only the new
+    expression (the heap is unchanged); a heap step carries the heap
+    and its kind too.  On the machine's hot path a pure β step then
+    allocates one two-word block for its result. *)
+type head_result =
+  | Pure_step of expr
+  | Heap_step of expr * Heap.t * kind  (** never of kind [Pure] *)
+  | No_step  (** the redex cannot step *)
+
+(** One head step of the redex [e] in heap [h].  Every arm builds its
+    result directly (no helper closures), since this runs once per
+    machine step. *)
+let head_step (h : Heap.t) (e : expr) : head_result =
   match e with
-  | Rec (f, x, body) -> Some (Val (Rec_fun (f, x, body)), h, Pure)
+  | Rec (f, x, body) -> Pure_step (Val (Rec_fun (f, x, body)))
   | App (Val (Rec_fun (f, x, body) as fv), Val v) ->
     (* One simultaneous pass for named recursion instead of two
        sequential ones — β is the hot path of every [rec] loop. *)
@@ -66,49 +75,50 @@ let head_step (h : Heap.t) (e : expr) : (expr * Heap.t * kind) option =
       | None -> subst x v body
       | Some fname -> subst2_expr x v fname fv body
     in
-    Some (body, h, Pure)
+    Pure_step body
   | Un_op (op, Val v) -> (
-    match eval_un_op op v with Some v' -> Some (Val v', h, Pure) | None -> None)
+    match eval_un_op op v with Some v' -> Pure_step (Val v') | None -> No_step)
   | Bin_op (op, Val v1, Val v2) -> (
     match eval_bin_op op v1 v2 with
-    | Some v' -> Some (Val v', h, Pure)
-    | None -> None)
-  | If (Val (Bool true), e1, _) -> Some (e1, h, Pure)
-  | If (Val (Bool false), _, e2) -> Some (e2, h, Pure)
-  | Pair_e (Val v1, Val v2) -> Some (Val (Pair (v1, v2)), h, Pure)
-  | Fst (Val (Pair (v1, _))) -> Some (Val v1, h, Pure)
-  | Snd (Val (Pair (_, v2))) -> Some (Val v2, h, Pure)
-  | Inj_l_e (Val v) -> Some (Val (Inj_l v), h, Pure)
-  | Inj_r_e (Val v) -> Some (Val (Inj_r v), h, Pure)
-  | Case (Val (Inj_l v), (x, e1), _) -> Some (subst x v e1, h, Pure)
-  | Case (Val (Inj_r v), _, (y, e2)) -> Some (subst y v e2, h, Pure)
-  | Let (x, Val v, e2) -> Some (subst x v e2, h, Pure)
-  | Seq (Val _, e2) -> Some (e2, h, Pure)
+    | Some v' -> Pure_step (Val v')
+    | None -> No_step)
+  | If (Val (Bool true), e1, _) -> Pure_step e1
+  | If (Val (Bool false), _, e2) -> Pure_step e2
+  | Pair_e (Val v1, Val v2) -> Pure_step (Val (Pair (v1, v2)))
+  | Fst (Val (Pair (v1, _))) -> Pure_step (Val v1)
+  | Snd (Val (Pair (_, v2))) -> Pure_step (Val v2)
+  | Inj_l_e (Val v) -> Pure_step (Val (Inj_l v))
+  | Inj_r_e (Val v) -> Pure_step (Val (Inj_r v))
+  | Case (Val (Inj_l v), (x, e1), _) -> Pure_step (subst x v e1)
+  | Case (Val (Inj_r v), _, (y, e2)) -> Pure_step (subst y v e2)
+  | Let (x, Val v, e2) -> Pure_step (subst x v e2)
+  | Seq (Val _, e2) -> Pure_step e2
   | Ref (Val v) ->
     let l, h' = Heap.alloc v h in
-    Some (Val (Loc l), h', Alloc l)
+    Heap_step (Val (Loc l), h', Alloc l)
   | Load (Val (Loc l)) -> (
     match Heap.lookup l h with
-    | Some v -> Some (Val v, h, Load_of l)
-    | None -> None)
+    | Some v -> Heap_step (Val v, h, Load_of l)
+    | None -> No_step)
   | Store (Val (Loc l), Val v) ->
-    if Heap.mem l h then Some (Val Unit, Heap.store l v h, Store_to l)
-    else None
+    if Heap.mem l h then Heap_step (Val Unit, Heap.store l v h, Store_to l)
+    else No_step
   | Cas (Val (Loc l), Val expected, Val desired) -> (
     match Heap.lookup l h with
-    | None -> None
+    | None -> No_step
     | Some current -> (
       match value_eq current expected with
-      | None -> None (* incomparable values *)
-      | Some true -> Some (Val (Bool true), Heap.store l desired h, Store_to l)
-      | Some false -> Some (Val (Bool false), h, Load_of l)))
+      | None -> No_step (* incomparable values *)
+      | Some true ->
+        Heap_step (Val (Bool true), Heap.store l desired h, Store_to l)
+      | Some false -> Heap_step (Val (Bool false), h, Load_of l)))
   | Val _ | Var _ | App _ | Un_op _ | Bin_op _ | If _ | Pair_e _ | Fst _
   | Snd _ | Inj_l_e _ | Inj_r_e _ | Case _ | Ref _ | Load _ | Store _
   | Let _ | Seq _ | Cas _ ->
-    None
+    No_step
   | Fork _ ->
     (* a concurrent redex: only the scheduler of {!Conc} can step it *)
-    None
+    No_step
 
 (** One step of a whole configuration: decompose, head-step, refill. *)
 let prim_step ({ expr; heap } : config) : (config * kind, error) result =
@@ -116,8 +126,10 @@ let prim_step ({ expr; heap } : config) : (config * kind, error) result =
   | None -> Error Finished
   | Some (k, redex) -> (
     match head_step heap redex with
-    | None -> Error (Stuck redex)
-    | Some (e', h', kind) -> Ok ({ expr = Ctx.fill k e'; heap = h' }, kind))
+    | No_step -> Error (Stuck redex)
+    | Pure_step e' -> Ok ({ expr = Ctx.fill k e'; heap }, Pure)
+    | Heap_step (e', h', kind) ->
+      Ok ({ expr = Ctx.fill k e'; heap = h' }, kind))
 
 (** [pure_step e]: the paper's [e { e']: a whole-program step whose head
     step is pure (so it neither reads nor writes the heap). *)

@@ -30,7 +30,14 @@ val pp_error : Format.formatter -> error -> unit
 val eval_un_op : Ast.un_op -> Ast.value -> Ast.value option
 val eval_bin_op : Ast.bin_op -> Ast.value -> Ast.value -> Ast.value option
 
-val head_step : Heap.t -> Ast.expr -> (Ast.expr * Heap.t * kind) option
+(** What one head step does. *)
+type head_result =
+  | Pure_step of Ast.expr  (** a pure step: the heap is unchanged *)
+  | Heap_step of Ast.expr * Heap.t * kind
+      (** an alloc/load/store step; its kind is never [Pure] *)
+  | No_step  (** the redex cannot step *)
+
+val head_step : Heap.t -> Ast.expr -> head_result
 (** One step of a head redex. *)
 
 val prim_step : config -> (config * kind, error) result

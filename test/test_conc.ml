@@ -5,6 +5,7 @@
 module Q = QCheck2
 module Shl = Tfiris.Shl
 module Conc = Tfiris_shl.Conc
+module Budget = Tfiris_robust.Budget
 
 let parse = Shl.Parser.parse_exn
 
@@ -241,9 +242,125 @@ let test_interleaving_diamond_dedup () =
   | _ -> Alcotest.fail "expected main to finish with ()");
   Alcotest.(check int) "diamond, not a schedule tree" 7 r.Conc.states
 
-(* ---------- the parallel explorer (PR 9) ---------- *)
+(* ---------- the state key: no plugging, whole-state hash ---------- *)
 
-module Budget = Tfiris_robust.Budget
+(* The key the explorer used to build for every successor: every thread
+   plugged back into a whole program, plus the sorted heap bindings.
+   Kept here as the reference that [Conc.same_state] must agree with. *)
+let reference_key (c : Conc.cfg) =
+  (Conc.thread_exprs c, Tfiris_shl.Heap.bindings c.Conc.heap)
+
+(* The same configuration with its heap rebuilt in descending insertion
+   order: a different AVL shape over the same bindings. *)
+let reshaped (c : Conc.cfg) =
+  let heap =
+    List.fold_left
+      (fun h (l, v) -> Tfiris_shl.Heap.store l v h)
+      Tfiris_shl.Heap.empty
+      (List.rev (Tfiris_shl.Heap.bindings c.Conc.heap))
+  in
+  { c with Conc.heap }
+
+(* Up to [limit] configurations reached by exploring [e]: each expanded
+   state, its reshaped copy, and all its successors — revisits included,
+   so the sample holds equal states reached along different paths. *)
+let reached_states ~limit e =
+  let acc = ref [] and n = ref 0 in
+  let keep c =
+    if !n < limit then begin
+      acc := c :: !acc;
+      incr n
+    end
+  in
+  let on_state c =
+    keep c;
+    keep (reshaped c);
+    List.iter
+      (fun i ->
+        match Conc.step_thread c i with
+        | Conc.T_progress c' -> keep c'
+        | Conc.T_value | Conc.T_stuck _ -> ())
+      (Conc.runnable c)
+  in
+  ignore
+    (Conc.explore ~budget:(Budget.of_states 200) ~domains:1 ~on_state
+       (Conc.init e));
+  List.rev !acc
+
+let state_key_matches_reference_prop =
+  QCheck_alcotest.to_alcotest
+    (Q.Test.make ~count:200
+       ~name:"state key ≡ plugged reference key (equality and hash)"
+       ~print:Gen.print_shl Gen.conc_expr
+       (fun e ->
+         let states =
+           List.map
+             (fun c -> (c, reference_key c, Conc.state_hash c))
+             (reached_states ~limit:60 e)
+         in
+         List.for_all
+           (fun (a, ka, ha) ->
+             List.for_all
+               (fun (b, kb, hb) ->
+                 let same = Conc.same_state a b in
+                 same = (ka = kb) && ((not same) || ha = hb))
+               states)
+           states))
+
+(* Every visited state gets its own hash: the hash covers each focus,
+   frame and heap binding, so no two of these state spaces' states
+   share a bucket chain. *)
+let test_state_hash_distinct () =
+  let cas_counter threads =
+    (* the shape of the benchmark's exploration requests *)
+    let b = Buffer.create 512 in
+    Buffer.add_string b "let c = ref 0 in\n";
+    for i = 0 to threads - 1 do
+      Printf.bprintf b "let d%d = ref 0 in\n" i
+    done;
+    Buffer.add_string b
+      "let incr = rec retry u. let v = !c in if cas c v (v + 1) then () \
+       else retry u in\n";
+    for i = 0 to threads - 1 do
+      Printf.bprintf b "fork (incr (); cas d%d 0 1);\n" i
+    done;
+    let wait = ref "!c" in
+    for i = threads - 1 downto 0 do
+      wait :=
+        Printf.sprintf "(rec w%d u. if !d%d = 1 then %s else w%d u) ()" i i
+          !wait i
+    done;
+    Buffer.add_string b !wait;
+    parse (Buffer.contents b)
+  in
+  let conc_locked =
+    parse
+      (In_channel.with_open_text "../examples/shl/conc_locked.shl"
+         In_channel.input_all)
+  in
+  List.iter
+    (fun (name, e, expected_states) ->
+      let hashes = Hashtbl.create 1024 in
+      let r =
+        Conc.explore ~domains:1
+          ~on_state:(fun c -> Hashtbl.replace hashes (Conc.state_hash c) ())
+          (Conc.init e)
+      in
+      Alcotest.(check bool) (name ^ ": complete") true (r.Conc.exhausted = None);
+      (match expected_states with
+      | Some n -> Alcotest.(check int) (name ^ ": states") n r.Conc.states
+      | None -> ());
+      Alcotest.(check int)
+        (name ^ ": distinct hashes")
+        r.Conc.states (Hashtbl.length hashes))
+    [
+      ("locked_incr", Conc.locked_incr, None);
+      ("spinlock_pair", Conc.spinlock_pair, None);
+      ("conc_locked.shl", conc_locked, Some 800);
+      ("3-thread CAS counter", cas_counter 3, Some 12_144);
+    ]
+
+(* ---------- the parallel explorer (PR 9) ---------- *)
 
 (* The full observable signature of an exploration, as a comparable
    value: state count, sorted final (value, heap) pairs, sorted stuck
@@ -386,6 +503,9 @@ let suite =
       test_canonical_visited_key;
     Alcotest.test_case "explore dedups commuting interleavings" `Quick
       test_interleaving_diamond_dedup;
+    state_key_matches_reference_prop;
+    Alcotest.test_case "state hashes are distinct on every visited state"
+      `Quick test_state_hash_distinct;
     par_differential_prop;
     Alcotest.test_case "parallel explore: steps budget exhausts globally"
       `Quick test_par_budget_steps_exhaustion;
