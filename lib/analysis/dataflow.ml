@@ -15,8 +15,14 @@
       parameter (with a re-entrancy guard for recursion), so the whole
       analysis is a monotone fixpoint over the summary table, iterated
       by {!lfp}-style rounds with widening after a few rounds;
-    - heap cells are summarized per allocation site (the path of the
-      [ref]), flow-insensitively;
+    - heap cells are summarized per allocation site (the position of
+      the [ref]), flow-insensitively;
+    - every program position gets a dense integer id, drawn from a
+      per-analysis [(parent id, step) -> id] table, so a position keeps
+      its id across rounds; allocation sites, the heap, the recursion
+      guard and the finding de-duplication are keyed on ids, and a
+      position's {!Tfiris_shl.Path} is materialized only for a finding
+      or a function summary;
     - branches whose condition has a definite abstract truth value are
       reported unreachable and not analyzed further, which is what
       makes constant propagation useful as a lint.
@@ -117,26 +123,26 @@ module Smap = Map.Make (String)
 
 module Engine (D : VALUE_DOMAIN) = struct
   (* An abstract value: the domain component plus the sets of function
-     handles and allocation sites that may flow here (both identified
-     by path). *)
+     handles (identified by path) and allocation sites (identified by
+     position id) that may flow here. *)
   (* The allocation sites a value may point to.  [Any_sites] is the
      explicit ⊤: an unknown pointer (an input, or any [+l] offset,
      which may cross into a sibling allocation).  Keeping ⊤ explicit
      matters — joining a known site set with an offset pointer must not
      quietly forget the unknown part. *)
   type sites =
-    | Known_sites of Pset.t
+    | Known_sites of Iset.t
     | Any_sites
 
   let sites_union s1 s2 =
     match (s1, s2) with
     | Any_sites, _ | _, Any_sites -> Any_sites
-    | Known_sites a, Known_sites b -> Known_sites (Pset.union a b)
+    | Known_sites a, Known_sites b -> Known_sites (Iset.union a b)
 
   let sites_equal s1 s2 =
     match (s1, s2) with
     | Any_sites, Any_sites -> true
-    | Known_sites a, Known_sites b -> Pset.equal a b
+    | Known_sites a, Known_sites b -> Iset.equal a b
     | _ -> false
 
   type aval = {
@@ -145,7 +151,7 @@ module Engine (D : VALUE_DOMAIN) = struct
     sites : sites;
   }
 
-  let no_sites = Known_sites Pset.empty
+  let no_sites = Known_sites Iset.empty
   let bot = { d = D.lattice.bottom; fns = Pset.empty; sites = no_sites }
   let top_v = { d = D.top; fns = Pset.empty; sites = Any_sites }
   let of_d d = { d; fns = Pset.empty; sites = no_sites }
@@ -172,6 +178,8 @@ module Engine (D : VALUE_DOMAIN) = struct
 
   type summary = {
     fn_path : Path.t;
+    fn_rev : Path.step list;  (** [fn_path] reversed *)
+    fn_id : int;
     self : string option;
     param : string;
     body : Ast.expr;
@@ -186,7 +194,12 @@ module Engine (D : VALUE_DOMAIN) = struct
 
   type state = {
     mutable summaries : (Path.t * summary) list;
-    heap : (Path.t, aval) Hashtbl.t;  (** allocation site -> content *)
+    by_id : (int, summary) Hashtbl.t;  (** the summaries, by [fn_id] *)
+    ids : (int * Path.step, int) Hashtbl.t;
+        (** (parent id, step) -> child id; the root is 0 *)
+    heap : (int, aval) Hashtbl.t;  (** allocation site -> content *)
+    in_progress : (int, unit) Hashtbl.t;
+        (** [fn_id]s on the call stack: the recursion guard *)
     mutable dirty : bool;  (** any monotone table moved this round *)
     mutable round : int;
     mutable havoc : bool;
@@ -195,10 +208,18 @@ module Engine (D : VALUE_DOMAIN) = struct
     widen_after : int;
     mutable report : F.t list option;
         (** [Some acc] during the reporting pass *)
-    reported : (string * Path.t, unit) Hashtbl.t;
+    reported : (string * int, unit) Hashtbl.t;
   }
 
   let find_summary st p = List.assoc_opt p st.summaries
+
+  let child st id step =
+    match Hashtbl.find_opt st.ids (id, step) with
+    | Some c -> c
+    | None ->
+      let c = Hashtbl.length st.ids + 1 in
+      Hashtbl.add st.ids (id, step) c;
+      c
 
   let combine st old next =
     if st.round < st.widen_after then join old next else widen old next
@@ -217,28 +238,32 @@ module Engine (D : VALUE_DOMAIN) = struct
     let j = bump st old v in
     Hashtbl.replace st.heap site j
 
-  let report st ~id ~severity ~path msg =
+  (* A finding at the position [pos] whose reversed path is [rev_p]. *)
+  let report st ~id ~severity ~pos ~rev_p msg =
     match st.report with
     | None -> ()
     | Some acc ->
-      let key = (id, path) in
+      let key = (id, pos) in
       if not (Hashtbl.mem st.reported key) then begin
         Hashtbl.replace st.reported key ();
-        st.report <- Some (F.make ~id ~severity ~path msg :: acc)
+        st.report <-
+          Some (F.make ~id ~severity ~path:(List.rev rev_p) msg :: acc)
       end
 
   let fid defect = D.name ^ "/" ^ defect
 
   (* Register (or refresh) the summary of a function node. *)
-  let summarize st rev_p (f, x, body) body_step env =
-    let fn_path = List.rev rev_p in
+  let summarize st rev_p id (f, x, body) body_step env =
     let s =
-      match find_summary st fn_path with
+      match Hashtbl.find_opt st.by_id id with
       | Some s -> s
       | None ->
+        let fn_path = List.rev rev_p in
         let s =
           {
             fn_path;
+            fn_rev = rev_p;
+            fn_id = id;
             self = f;
             param = x;
             body;
@@ -250,6 +275,7 @@ module Engine (D : VALUE_DOMAIN) = struct
           }
         in
         st.summaries <- (fn_path, s) :: st.summaries;
+        Hashtbl.add st.by_id id s;
         st.dirty <- true;
         s
     in
@@ -269,19 +295,16 @@ module Engine (D : VALUE_DOMAIN) = struct
       env;
     s
 
-  (* In-progress call stack, for the recursion guard. *)
-  let in_progress : (Path.t, unit) Hashtbl.t = Hashtbl.create 16
-
+  (* [rev_p] is the reversed path of [e] and [id] its position id. *)
   let rec eval (st : state) (env : aval Smap.t) (rev_p : Path.step list)
-      (e : Ast.expr) : aval =
-    let path () = List.rev rev_p in
-    let sub step e' = eval st env (step :: rev_p) e' in
+      (id : int) (e : Ast.expr) : aval =
+    let sub step e' = eval st env (step :: rev_p) (child st id step) e' in
     match e with
     | Val (Rec_fun (f, x, body)) ->
-      let s = summarize st rev_p (f, x, body) Path.Val_body env in
+      let s = summarize st rev_p id (f, x, body) Path.Val_body env in
       { bot with fns = Pset.singleton s.fn_path; d = D.lattice.bottom }
     | Rec (f, x, body) ->
-      let s = summarize st rev_p (f, x, body) Path.Rec_body env in
+      let s = summarize st rev_p id (f, x, body) Path.Rec_body env in
       { bot with fns = Pset.singleton s.fn_path }
     | Val v -> of_d (D.const v)
     | Var x -> (
@@ -315,7 +338,7 @@ module Engine (D : VALUE_DOMAIN) = struct
       else begin
         List.iter
           (fun (defect, severity, msg) ->
-            report st ~id:(fid defect) ~severity ~path:(path ()) msg)
+            report st ~id:(fid defect) ~severity ~pos:id ~rev_p msg)
           (D.check op a.d b.d);
         match op with
         | Ptr_add ->
@@ -332,12 +355,12 @@ module Engine (D : VALUE_DOMAIN) = struct
         match D.truth cv.d with
         | Some true ->
           report st ~id:(fid "unreachable-branch") ~severity:F.Warning
-            ~path:(List.rev (Path.If_else :: rev_p))
+            ~pos:(child st id Path.If_else) ~rev_p:(Path.If_else :: rev_p)
             "condition is always true; else-branch is unreachable";
           sub Path.If_then e1
         | Some false ->
           report st ~id:(fid "unreachable-branch") ~severity:F.Warning
-            ~path:(List.rev (Path.If_then :: rev_p))
+            ~pos:(child st id Path.If_then) ~rev_p:(Path.If_then :: rev_p)
             "condition is always false; then-branch is unreachable";
           sub Path.If_else e2
         | None -> join (sub Path.If_then e1) (sub Path.If_else e2))
@@ -372,12 +395,13 @@ module Engine (D : VALUE_DOMAIN) = struct
           match payload with
           | None ->
             report st ~id:(fid "unreachable-case") ~severity:F.Warning
-              ~path:(List.rev (step :: rev_p))
+              ~pos:(child st id step) ~rev_p:(step :: rev_p)
               "scrutinee never takes this constructor; branch is unreachable";
             bot
           | Some pd ->
             let pv = { s with d = pd } in
-            eval st (Smap.add var pv env) (step :: rev_p) body
+            eval st (Smap.add var pv env) (step :: rev_p) (child st id step)
+              body
         in
         let l = branch Path.Case_inl x left e1 in
         let r = branch Path.Case_inr y right e2 in
@@ -386,9 +410,8 @@ module Engine (D : VALUE_DOMAIN) = struct
       let a = sub Path.Ref_arg e1 in
       if is_bot a then bot
       else begin
-        let site = path () in
-        heap_join st site a;
-        { d = D.loc; fns = Pset.empty; sites = Known_sites (Pset.singleton site) }
+        heap_join st id a;
+        { d = D.loc; fns = Pset.empty; sites = Known_sites (Iset.singleton id) }
       end
     | Load e1 ->
       let a = sub Path.Load_arg e1 in
@@ -396,9 +419,9 @@ module Engine (D : VALUE_DOMAIN) = struct
       else begin
         match a.sites with
         | Any_sites -> top_v
-        | Known_sites s when Pset.is_empty s -> top_v
+        | Known_sites s when Iset.is_empty s -> top_v
         | Known_sites s ->
-          Pset.fold (fun site acc -> join acc (heap_get st site)) s bot
+          Iset.fold (fun site acc -> join acc (heap_get st site)) s bot
       end
     | Store (e1, e2) ->
       let l = sub Path.Store_l e1 in
@@ -412,7 +435,7 @@ module Engine (D : VALUE_DOMAIN) = struct
             st.havoc <- true;
             st.dirty <- true
           end
-        | Known_sites s -> Pset.iter (fun site -> heap_join st site v) s);
+        | Known_sites s -> Iset.iter (fun site -> heap_join st site v) s);
         of_d (D.const Ast.Unit)
       end
     | Cas (e1, e2, e3) ->
@@ -427,14 +450,16 @@ module Engine (D : VALUE_DOMAIN) = struct
             st.havoc <- true;
             st.dirty <- true
           end
-        | Known_sites s -> Pset.iter (fun site -> heap_join st site v) s);
+        | Known_sites s -> Iset.iter (fun site -> heap_join st site v) s);
         of_d
           (D.lattice.join (D.const (Ast.Bool true)) (D.const (Ast.Bool false)))
       end
     | Let (x, e1, e2) ->
       let a = sub Path.Let_bound e1 in
       if is_bot a then bot
-      else eval st (Smap.add x a env) (Path.Let_body :: rev_p) e2
+      else
+        eval st (Smap.add x a env) (Path.Let_body :: rev_p)
+          (child st id Path.Let_body) e2
     | Seq (e1, e2) ->
       let a = sub Path.Seq_l e1 in
       if is_bot a then bot else sub Path.Seq_r e2
@@ -448,16 +473,17 @@ module Engine (D : VALUE_DOMAIN) = struct
      return the joined result. *)
   and apply st (s : summary) (arg : aval) : aval =
     s.param_in <- bump st s.param_in arg;
-    if Hashtbl.mem in_progress s.fn_path then s.result
+    if Hashtbl.mem st.in_progress s.fn_id then s.result
     else begin
-      Hashtbl.replace in_progress s.fn_path ();
+      Hashtbl.replace st.in_progress s.fn_id ();
       let env = body_env st s in
-      (* reversed path of the body: fn_path @ [body_step] *)
-      let rev_body = s.body_step :: List.rev s.fn_path in
       let r =
         Fun.protect
-          ~finally:(fun () -> Hashtbl.remove in_progress s.fn_path)
-          (fun () -> eval st env rev_body s.body)
+          ~finally:(fun () -> Hashtbl.remove st.in_progress s.fn_id)
+          (fun () ->
+            eval st env (s.body_step :: s.fn_rev)
+              (child st s.fn_id s.body_step)
+              s.body)
       in
       s.result <- bump st s.result r;
       s.result
@@ -480,7 +506,7 @@ module Engine (D : VALUE_DOMAIN) = struct
      in the fixpoint rather than being bolted on afterwards. *)
   let round st e =
     st.dirty <- false;
-    ignore (eval st Smap.empty [] e);
+    ignore (eval st Smap.empty [] 0 e);
     let rec sweep visited =
       let pending =
         List.filter
@@ -500,7 +526,10 @@ module Engine (D : VALUE_DOMAIN) = struct
     let st =
       {
         summaries = [];
+        by_id = Hashtbl.create 16;
+        ids = Hashtbl.create 256;
         heap = Hashtbl.create 32;
+        in_progress = Hashtbl.create 16;
         dirty = true;
         round = 0;
         havoc = false;
@@ -509,7 +538,6 @@ module Engine (D : VALUE_DOMAIN) = struct
         reported = Hashtbl.create 32;
       }
     in
-    Hashtbl.reset in_progress;
     while st.dirty && st.round < max_rounds do
       round st e;
       st.round <- st.round + 1

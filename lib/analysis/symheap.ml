@@ -119,8 +119,43 @@ let norm_atom (t : t) = function
 
 (* ---------- queries ---------- *)
 
-(** Definite equality: both sides normalize to the same term. *)
-let definitely_eq (t : t) (a : sval) (b : sval) = norm t a = norm t b
+(* [v] with its head chased through solved variables.  The lookups
+   here and below use [find_opt]: raising [Not_found] from [find] made
+   [Biabd.run] on memo_fib ~1.7x slower than the option it saves. *)
+let rec chase (t : t) (v : sval) : sval =
+  match v with
+  | S_var i -> (
+    match Imap.find_opt i t.eqs with Some w -> chase t w | None -> v)
+  | _ -> v
+
+(* The base and the offset of [norm_addr t a], apart. *)
+let rec root_base (t : t) (b : int) : int =
+  match Imap.find_opt b t.beqs with
+  | Some a -> root_base t a.base
+  | None -> b
+
+let rec root_off (t : t) (b : int) (off : int) : int =
+  match Imap.find_opt b t.beqs with
+  | Some a -> root_off t a.base (off + a.off)
+  | None -> off
+
+(** Definite equality: both sides normalize to the same term.  Decided
+    by comparing the chased components in place, without building the
+    normalized terms. *)
+let rec definitely_eq (t : t) (a : sval) (b : sval) =
+  match (chase t a, chase t b) with
+  | S_var i, S_var j -> i = j
+  | S_unit, S_unit -> true
+  | S_bool x, S_bool y -> x = y
+  | S_int x, S_int y -> x = y
+  | S_fun x, S_fun y -> x = y
+  | S_loc x, S_loc y ->
+    root_base t x.base = root_base t y.base
+    && root_off t x.base x.off = root_off t y.base y.off
+  | S_pair (a1, a2), S_pair (b1, b2) ->
+    definitely_eq t a1 b1 && definitely_eq t a2 b2
+  | S_inj_l x, S_inj_l y | S_inj_r x, S_inj_r y -> definitely_eq t x y
+  | _ -> false
 
 let rec occurs (i : int) (v : sval) =
   match v with

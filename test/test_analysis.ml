@@ -154,6 +154,49 @@ let test_interval () =
     (count_id "interval/unreachable-branch" (An.Domains.interval slen_walk)
     + count_id "constprop/unreachable-branch" (An.Domains.constprop slen_walk))
 
+(* ---------- deep let chains ----------
+
+   The strings of the Levenshtein case study are consecutive [ref]
+   cells, so an n-character string is an n-deep [let] chain with an
+   allocation site at every level.  Both dataflow passes must stay
+   close to linear in that depth: 1,000 characters are analyzed well
+   inside the time bound, and the findings at depth ~1,000 keep their
+   full paths. *)
+
+let test_deep_let_chain () =
+  let n = 1000 in
+  let b = Buffer.create (n * 24) in
+  for i = 0 to n - 1 do
+    let c = 1 + (i * 37 mod 255) in
+    if i = 0 then Printf.bprintf b "let s = ref %d in\n" c
+    else Printf.bprintf b "let _c%d = ref %d in\n" i c
+  done;
+  Buffer.add_string b
+    "let _z = ref 0 in\n\
+     let slen = rec slen p. if !p = 0 then 0 else slen (p +l 1) + 1 in\n\
+     if !s = 0 then 1 else (10 quot !_z) + slen s\n";
+  let e = parse (Buffer.contents b) in
+  let t0 = Sys.time () in
+  let fs = An.Domains.constprop e @ An.Domains.interval e in
+  let spent = Sys.time () -. t0 in
+  let at steps =
+    Shl.Path.to_string (List.init (n + 2) (fun _ -> Shl.Path.Let_body) @ steps)
+  in
+  let show f =
+    (f.F.id, F.severity_to_string f.F.severity, Shl.Path.to_string f.F.path)
+  in
+  Alcotest.(check (list (triple string string string)))
+    "findings at depth 1,002"
+    [
+      ("constprop/unreachable-branch", "warning", at [ If_then ]);
+      ("interval/div-by-zero", "error", at [ If_else; Bin_l ]);
+      ("interval/unreachable-branch", "warning", at [ If_then ]);
+    ]
+    (List.sort compare (List.map show fs));
+  Alcotest.(check bool)
+    (Printf.sprintf "both passes under 2 s (%.3f s)" spent)
+    true (spent < 2.0)
+
 (* ---------- pointer-⊤ heap havoc ----------
 
    Regression pins for the [Any_sites] escape hatch: once a program
@@ -475,6 +518,7 @@ let suite =
     Alcotest.test_case "constant propagation" `Quick test_constprop;
     Alcotest.test_case "interval analysis" `Quick test_interval;
     Alcotest.test_case "pointer-top heap havoc" `Quick test_any_sites_havoc;
+    Alcotest.test_case "deep let chains stay linear" `Quick test_deep_let_chain;
     Alcotest.test_case "termination measures inferred" `Quick
       test_termination_inference;
     Alcotest.test_case "termination measures agree with §5 credits" `Slow
