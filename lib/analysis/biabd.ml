@@ -33,8 +33,19 @@ module Heap = Tfiris_shl.Heap
 module Sh = Symheap
 module F = Finding
 module Json = Tfiris_obs.Json
-module Iset = Set.Make (Int)
-module Imap = Map.Make (Int)
+module Trace = Tfiris_obs.Trace
+module Iset = Sh.Iset
+module Imap = Sh.Imap
+
+(* Allocation sites, hashed over every step: the polymorphic hash reads
+   only about the first ten steps of a path, so the deep sites of a
+   [let] chain would all share one bucket. *)
+module Site_tbl = Hashtbl.Make (struct
+  type t = Path.t
+
+  let equal = Path.equal
+  let hash p = List.fold_left (fun h s -> (h * 31) + Hashtbl.hash s) 0 p
+end)
 
 type verdict =
   | Safe  (** ran to a value; no stuck state is reachable *)
@@ -116,7 +127,7 @@ let cstuck st ~id ~path fmt =
       raise Cstuck)
     fmt
 
-let restrict_env (env : (string * rval) list) (fv : Ast.Sset.t) =
+let restrict_env (env : (string * 'v) list) (fv : Ast.Sset.t) =
   List.filter (fun (n, _) -> Ast.Sset.mem n fv) env
 
 (* Value literals can embed closure bodies with free variables (bound by
@@ -384,9 +395,9 @@ let mk_dyn ctx d =
 
 let mk_lam ctx env f x body =
   let cenv =
-    List.filter
-      (fun (n, _) -> Ast.Sset.mem n (Ast.free_vars (Ast.Rec (f, x, body))))
-      env
+    match env with
+    | [] -> []
+    | _ -> restrict_env env (Ast.free_vars (Ast.Rec (f, x, body)))
   in
   mk_dyn ctx (D_lam (f, x, body, cenv))
 
@@ -1141,23 +1152,38 @@ let summaries ?(rounds = fix_rounds) ?(budget = fn_budget)
     in
     let exact = Array.make n true in
     let stable = Array.make n false in
-    (try
-       for _round = 1 to rounds do
-         let next = Array.make n [] in
-         for fid = 0 to n - 1 do
-           ctx.approx <- false;
-           ctx.budget <- budget;
-           Hashtbl.reset ctx.dyn;
-           ctx.ndyn <- n + 1;
-           let ds = analyze_fn ctx fid in
-           exact.(fid) <- not ctx.approx;
-           stable.(fid) <- ds = ctx.cand.(fid);
-           next.(fid) <- ds
-         done;
-         Array.blit next 0 ctx.cand 0 n;
-         if Array.for_all (fun b -> b) stable then raise Exit
-       done
-     with Exit -> ());
+    let round () =
+      let next = Array.make n [] in
+      for fid = 0 to n - 1 do
+        ctx.approx <- false;
+        ctx.budget <- budget;
+        Hashtbl.reset ctx.dyn;
+        ctx.ndyn <- n + 1;
+        let ds = analyze_fn ctx fid in
+        exact.(fid) <- not ctx.approx;
+        stable.(fid) <- ds = ctx.cand.(fid);
+        next.(fid) <- ds
+      done;
+      Array.blit next 0 ctx.cand 0 n
+    in
+    let ran = ref 0 in
+    let fixpoint () =
+      try
+        for r = 1 to rounds do
+          ran := r;
+          if Trace.on () then
+            Trace.with_span "biabd.round" ~attrs:[ ("round", Trace.I r) ] round
+          else round ();
+          if Array.for_all (fun b -> b) stable then raise Exit
+        done
+      with Exit -> ()
+    in
+    if Trace.on () then begin
+      Trace.span_begin "biabd.fixpoint" ~attrs:[ ("functions", Trace.I n) ];
+      Fun.protect fixpoint ~finally:(fun () ->
+          Trace.span_end "biabd.fixpoint" ~attrs:[ ("rounds", Trace.I !ran) ])
+    end
+    else fixpoint ();
     List.mapi
       (fun fid (f : fn) ->
         {
@@ -1233,7 +1259,7 @@ let check ?(budget = default_budget) (e : Ast.expr) : result =
       findings = [];
     }
   in
-  let verdict, leaked =
+  let checker () =
     match ceval st [] [] e with
     | v ->
       (* completed: find unreachable allocations (leaks) *)
@@ -1259,11 +1285,11 @@ let check ?(budget = default_budget) (e : Ast.expr) : result =
           st.cells []
       in
       let leaked = List.rev leaked in
-      let site_seen = Hashtbl.create 8 in
+      let site_seen = Site_tbl.create 8 in
       List.iter
         (fun (_, site) ->
-          if not (Hashtbl.mem site_seen site) then begin
-            Hashtbl.add site_seen site ();
+          if not (Site_tbl.mem site_seen site) then begin
+            Site_tbl.add site_seen site ();
             st.findings <-
               F.make ~id:"symheap/leak" ~severity:F.Info ~path:site
                 "allocation is unreachable from the final value (leak)"
@@ -1273,6 +1299,9 @@ let check ?(budget = default_budget) (e : Ast.expr) : result =
       (Safe, leaked)
     | exception Cstuck -> (Unsafe, [])
     | exception Cunknown -> (Unknown, [])
+  in
+  let verdict, leaked =
+    if Trace.on () then Trace.with_span "biabd.check" checker else checker ()
   in
   {
     r_verdict = verdict;

@@ -69,11 +69,19 @@ type atom =
 (* ------------------------------------------------------------------ *)
 
 module Imap = Map.Make (Int)
+module Iset = Set.Make (Int)
 
 type t = {
   eqs : sval Imap.t;  (** svar → value; acyclic, chased by {!norm} *)
   beqs : addr Imap.t;  (** base → address; acyclic, chased likewise *)
-  neqs : (sval * sval) list;  (** asserted disequalities *)
+  neqs : (sval * sval) list;
+      (** asserted disequalities, both sides always in normal form:
+          {!add_neq} stores normal forms and every binding rewrites the
+          pairs that mention it ({!unify}) *)
+  neq_keys : Iset.t;
+      (** the {!var_key} of every variable and the {!base_key} of every
+          base that some disequality mentions (and possibly keys that
+          no disequality mentions any more) *)
   spatial : atom list;
   nvar : int;  (** next fresh svar *)
   nbase : int;  (** next fresh base *)
@@ -84,10 +92,25 @@ let empty =
     eqs = Imap.empty;
     beqs = Imap.empty;
     neqs = [];
+    neq_keys = Iset.empty;
     spatial = [];
     nvar = 0;
     nbase = 0;
   }
+
+(* Keys of the disequality index: variable [i] is [2i], base [b] is
+   [2b+1]. *)
+let var_key i = 2 * i
+let base_key b = (2 * b) + 1
+
+let rec add_keys (v : sval) (keys : Iset.t) : Iset.t =
+  match v with
+  | S_var i -> Iset.add (var_key i) keys
+  | S_loc a ->
+    if a.base = conc_base then keys else Iset.add (base_key a.base) keys
+  | S_pair (a, b) -> add_keys a (add_keys b keys)
+  | S_inj_l a | S_inj_r a -> add_keys a keys
+  | S_unit | S_bool _ | S_int _ | S_fun _ -> keys
 
 let fresh_var (t : t) : t * sval =
   ({ t with nvar = t.nvar + 1 }, S_var t.nvar)
@@ -174,9 +197,7 @@ let nonzero_int (t : t) (v : sval) =
   | v' ->
     if
       List.exists
-        (fun (a, b) ->
-          (norm t a = v' && norm t b = S_int 0)
-          || (norm t b = v' && norm t a = S_int 0))
+        (function w, S_int 0 | S_int 0, w -> w = v' | _ -> false)
         t.neqs
     then Some true
     else None
@@ -199,26 +220,97 @@ let rec apart (a : sval) (b : sval) =
     (* different ground constructors *)
     true
 
-(* The pure part is unsatisfiable when a disequality collapsed, or two
-   points-to atoms share a start address (x ↦ _ * x ↦ _ is false). *)
+(* No two points-to atoms share a start address (x ↦ _ * x ↦ _ is
+   false).  Pairwise, so that it allocates nothing: a spatial part holds
+   few cells (at most 8 over the benchmark's corpora). *)
+let no_dup_pts (t : t) : bool =
+  let rec clash b off = function
+    | [] -> false
+    | Pts (a, _) :: rest ->
+      (root_base t a.base = b && root_off t a.base a.off = off)
+      || clash b off rest
+    | (Lseg _ | Junk) :: rest -> clash b off rest
+  in
+  let rec go = function
+    | [] -> true
+    | Pts (a, _) :: rest ->
+      (not (clash (root_base t a.base) (root_off t a.base a.off) rest))
+      && go rest
+    | (Lseg _ | Junk) :: rest -> go rest
+  in
+  go t.spatial
+
+(** The full satisfiability check: the pure part is unsatisfiable when
+    a disequality collapsed, or two points-to atoms share a start
+    address.  {!unify} decides the same question incrementally; this
+    rescan is its reference. *)
 let sat (t : t) : bool =
   (not (List.exists (fun (a, b) -> definitely_eq t a b) t.neqs))
-  &&
-  let starts =
-    List.filter_map
-      (function
-        | Pts (a, _) -> Some (norm_addr t a)
-        | Lseg _ | Junk -> None)
-      t.spatial
-  in
-  let sorted = List.sort compare starts in
-  let rec no_dup = function
-    | a :: (b :: _ as rest) -> a <> b && no_dup rest
-    | _ -> true
-  in
-  no_dup sorted
+  && no_dup_pts t
 
 (* ---------- unification ---------- *)
+
+(* [v] with variable [i] replaced by [w], or [v] itself (physically)
+   when [i] does not occur in it. *)
+let rec subst_var (i : int) (w : sval) (v : sval) : sval =
+  match v with
+  | S_var j -> if i = j then w else v
+  | S_pair (a, b) ->
+    let a' = subst_var i w a and b' = subst_var i w b in
+    if a' == a && b' == b then v else S_pair (a', b')
+  | S_inj_l a ->
+    let a' = subst_var i w a in
+    if a' == a then v else S_inj_l a'
+  | S_inj_r a ->
+    let a' = subst_var i w a in
+    if a' == a then v else S_inj_r a'
+  | S_unit | S_bool _ | S_int _ | S_loc _ | S_fun _ -> v
+
+(* [v] with base [b] rebased onto [target], or [v] itself. *)
+let rec subst_base (b : int) (target : addr) (v : sval) : sval =
+  match v with
+  | S_loc a when a.base = b -> S_loc { target with off = target.off + a.off }
+  | S_pair (x, y) ->
+    let x' = subst_base b target x and y' = subst_base b target y in
+    if x' == x && y' == y then v else S_pair (x', y')
+  | S_inj_l x ->
+    let x' = subst_base b target x in
+    if x' == x then v else S_inj_l x'
+  | S_inj_r x ->
+    let x' = subst_base b target x in
+    if x' == x then v else S_inj_r x'
+  | S_var _ | S_unit | S_bool _ | S_int _ | S_loc _ | S_fun _ -> v
+
+exception Collapsed
+
+(* The disequalities after one binding, given as the rewrite [f] of a
+   normal form; the tail past the last pair [f] touches is shared.  A
+   stored pair is never collapsed and a binding changes only the pairs
+   that mention it, so the binding is inconsistent exactly when a
+   rewritten pair's sides are equal: that raises [Collapsed]. *)
+let rec rewrite_neqs f = function
+  | [] -> []
+  | ((a, b) as p) :: rest as l ->
+    let rest' = rewrite_neqs f rest in
+    let a' = f a and b' = f b in
+    if a' == a && b' == b then if rest' == rest then l else p :: rest'
+    else if a' = b' then raise Collapsed
+    else (a', b') :: rest'
+
+(* Run on every binding: [add_atom] adds atoms unchecked, and the next
+   unification must refuse a state with two cells at one address. *)
+let consistent (t : t) : t option = if no_dup_pts t then Some t else None
+
+(* [t], just extended by a binding that some disequality mentions,
+   with the disequalities rewritten by [f] (the binding's effect on
+   normal forms) and [target]'s keys indexed; [None] when the binding
+   is unsatisfiable.  A binding the index does not know leaves every
+   disequality as it is, and only {!consistent} is checked. *)
+let rewrite (t : t) (target : sval) (f : sval -> sval) : t option =
+  match rewrite_neqs f t.neqs with
+  | exception Collapsed -> None
+  | neqs ->
+    consistent { t with neqs; neq_keys = add_keys target t.neq_keys }
 
 (** [unify t a b]: assume [a = b]; [None] when that is inconsistent
     with the current pure and spatial parts. *)
@@ -231,7 +323,8 @@ let rec unify (t : t) (a : sval) (b : sval) : t option =
       if occurs i v then None
       else
         let t = { t with eqs = Imap.add i v t.eqs } in
-        if sat t then Some t else None
+        if Iset.mem (var_key i) t.neq_keys then rewrite t v (subst_var i v)
+        else consistent t
     | S_loc x, S_loc y -> unify_addr t x y
     | S_pair (a1, a2), S_pair (b1, b2) ->
       Option.bind (unify t a1 b1) (fun t -> unify t a2 b2)
@@ -252,14 +345,18 @@ and unify_addr (t : t) (x : addr) (y : addr) : t option =
       else (y.base, { base = x.base; off = x.off - y.off })
     in
     let t = { t with beqs = Imap.add b target t.beqs } in
-    if sat t then Some t else None
+    if Iset.mem (base_key b) t.neq_keys then
+      rewrite t (S_loc target) (subst_base b target)
+    else consistent t
 
 (** Assume [a ≠ b]; [None] when they are already definitely equal. *)
 let add_neq (t : t) (a : sval) (b : sval) : t option =
   let a = norm t a and b = norm t b in
   if a = b then None
   else if apart a b then Some t
-  else Some { t with neqs = (a, b) :: t.neqs }
+  else
+    let neq_keys = add_keys a (add_keys b t.neq_keys) in
+    Some { t with neqs = (a, b) :: t.neqs; neq_keys }
 
 (* ------------------------------------------------------------------ *)
 (* Spatial operations                                                  *)
@@ -497,9 +594,8 @@ let string_of_atom ?var_name (a : atom) : string =
 let pure_strings ?var_name (t : t) : string list =
   List.rev_map
     (fun (a, b) ->
-      Printf.sprintf "%s != %s"
-        (string_of_sval ?var_name (norm t a))
-        (string_of_sval ?var_name (norm t b)))
+      Printf.sprintf "%s != %s" (string_of_sval ?var_name a)
+        (string_of_sval ?var_name b))
     t.neqs
 
 let to_string (t : t) : string =

@@ -188,6 +188,64 @@ let test_cli_profile () =
   in
   Alcotest.(check bool) "child failure propagates" true (Sys.command bad <> 0)
 
+(* The symbolic-heap analyzer's spans: profiling `analyze` shows the
+   concrete checker and the summary fixpoint (one child per round)
+   under the pass span, and the fixpoint's close carries its round
+   count — memo_fib's summaries settle in 4 rounds. *)
+let test_cli_profile_symheap () =
+  let exe = "../bin/tfiris_cli.exe" in
+  if not (Sys.file_exists exe) then Alcotest.skip ();
+  let collapsed = Filename.temp_file "tfiris_profile" ".collapsed" in
+  let cmd =
+    Printf.sprintf
+      "%s profile --collapsed=%s -- analyze ../examples/shl/memo_fib.shl > \
+       /dev/null"
+      exe (Filename.quote collapsed)
+  in
+  Alcotest.(check int) "cli exit code" 0 (Sys.command cmd);
+  let ic = open_in collapsed in
+  let stacks = ref [] in
+  (try
+     while true do
+       stacks := input_line ic :: !stacks
+     done
+   with End_of_file -> close_in ic);
+  Sys.remove collapsed;
+  let has_stack prefix =
+    List.exists
+      (fun line ->
+        String.length line > String.length prefix
+        && String.sub line 0 (String.length prefix + 1) = prefix ^ " ")
+      !stacks
+  in
+  List.iter
+    (fun stack ->
+      Alcotest.(check bool) stack true (has_stack stack))
+    [
+      "(root);analysis.symheap;biabd.check";
+      "(root);analysis.symheap;biabd.fixpoint;biabd.round";
+    ];
+  let sink, contents = Trace.memory_sink ~capacity:4096 () in
+  let prev = Trace.install sink in
+  ignore
+    (Fun.protect
+       ~finally:(fun () -> Trace.restore prev)
+       (fun () ->
+         Analysis.Biabd.summaries
+           (Shl.Parser.parse_exn
+              (In_channel.with_open_bin "../examples/shl/memo_fib.shl"
+                 In_channel.input_all))));
+  let rounds =
+    List.filter_map
+      (fun (ev : Trace.event) ->
+        if ev.Trace.name = "biabd.fixpoint" && ev.Trace.phase = Trace.Span_end
+        then List.assoc_opt "rounds" ev.Trace.attrs
+        else None)
+      (contents ())
+  in
+  Alcotest.(check bool) "fixpoint span closes with rounds = 4" true
+    (rounds = [ Trace.I 4 ])
+
 let suite =
   [
     Alcotest.test_case "nested span arithmetic" `Quick test_nested_arithmetic;
@@ -201,4 +259,6 @@ let suite =
     Alcotest.test_case "text tree renderer" `Quick test_render_tree;
     Alcotest.test_case "profile of a driver run" `Quick test_profile_driver_run;
     Alcotest.test_case "cli profile subcommand" `Quick test_cli_profile;
+    Alcotest.test_case "cli profile of analyze: symheap spans" `Quick
+      test_cli_profile_symheap;
   ]
