@@ -70,9 +70,13 @@ analyze-baseline: build
 # sweep over the examples stores one certificate per (program, stage),
 # the warm sweep must replay ≥90% of lookups from disk, and `report
 # --diff` holds the two ledgers to zero verdict flips — cached replay
-# may be faster, never different.  `make corpus` is self-contained
-# (fresh cache each time); point CACHE at a persistent directory to
-# verify incrementally across source changes.
+# may be faster, never different.  Then the whole-corpus analyze runs
+# twice into the same cache (a store, then a replay) and both reports
+# must equal the committed golden, so a replayed report is
+# golden-checked too.  `make corpus` is self-contained (fresh cache
+# each time).  Do not point CACHE at a directory that outlives a source
+# change: the content key names the tool version, not the build, so a
+# certificate from older code would be replayed as if current.
 CACHE ?= .tfiris-cache
 
 corpus: build
@@ -82,6 +86,14 @@ corpus: build
 	dune exec bin/tfiris_cli.exe -- verify-corpus examples/shl \
 	  --cache=$(CACHE) --ledger=CORPUS_warm.jsonl --min-hit-rate=90
 	dune exec bin/tfiris_cli.exe -- report --diff CORPUS_cold.jsonl CORPUS_warm.jsonl
+	dune exec bin/tfiris_cli.exe -- analyze --format=json-stable \
+	  examples/shl/*.shl --cache=$(CACHE) > CORPUS_analyze_cold.json
+	dune exec bin/tfiris_cli.exe -- analyze --format=json-stable \
+	  examples/shl/*.shl --cache=$(CACHE) > CORPUS_analyze_warm.json \
+	  2> CORPUS_analyze_warm.err
+	diff -u BENCH_history/baseline-analyze.json CORPUS_analyze_cold.json
+	diff -u BENCH_history/baseline-analyze.json CORPUS_analyze_warm.json
+	grep -q '^tfiris: cache hit' CORPUS_analyze_warm.err
 	dune exec bin/tfiris_cli.exe -- cache stats --cache=$(CACHE)
 
 # Cross-domain explorer smoke: the sequential explorer and the
@@ -104,7 +116,8 @@ explore-smoke: build
 # the concurrent-ledger-append test, so a green verify also certifies
 # the domain-safe telemetry core.
 verify: build test
-	dune exec bin/tfiris_cli.exe -- stats --gc -e "let r = ref 0 in r := 41; !r + 1"
+	dune exec bin/tfiris_cli.exe -- run --stats --metrics --gc \
+	  -e "let r = ref 0 in r := 41; !r + 1"
 	dune exec bin/tfiris_cli.exe -- run examples/shl/memo_fib.shl \
 	  --gc=TELEMETRY.json
 	dune exec bin/tfiris_cli.exe -- analyze --fail-on=error examples/shl/*.shl

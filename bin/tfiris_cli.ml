@@ -2,7 +2,6 @@
 
    Subcommands:
      run          run an SHL program
-     stats        run an SHL program and print the full metrics snapshot
      trace        print the small-step trace of an SHL program
      analyze      run the static analyzer over one or more SHL programs
      check-term   verify termination with transfinite time credits
@@ -20,26 +19,24 @@ open Tfiris
 module Shl = Tfiris.Shl
 module Obs = Tfiris.Obs
 
+let read_file path =
+  try
+    let ic = open_in path in
+    Fun.protect
+      ~finally:(fun () -> close_in_noerr ic)
+      (fun () -> Ok (really_input_string ic (in_channel_length ic)))
+  with Sys_error m -> Error m
+
 (* Programs come back with a display label (the file path, or "<expr>"
    for inline text) — the handle run-ledger records carry. *)
 let read_program expr_opt file_opt =
   match expr_opt, file_opt with
   | Some src, None -> Ok ("<expr>", src)
-  | None, Some path -> (
-    try
-      let ic = open_in path in
-      let n = in_channel_length ic in
-      let s = really_input_string ic n in
-      close_in ic;
-      Ok (path, s)
-    with Sys_error m -> Error m)
+  | None, Some path -> Result.map (fun s -> (path, s)) (read_file path)
   | Some _, Some _ -> Error "give either -e or a file, not both"
   | None, None -> Error "no program: use -e EXPR or a file argument"
 
-let parse_program src =
-  match Shl.Parser.parse src with
-  | Ok e -> Ok e
-  | Error m -> Error m
+let parse_program = Shl.Parser.parse
 
 let parse_labeled program =
   Result.bind program (fun (label, src) ->
@@ -74,12 +71,6 @@ let protect (f : unit -> int) : int =
     Format.eprintf "tfiris: %s@." (Robust.Failure.to_string fl);
     2
 
-let fuel_arg =
-  Arg.(
-    value
-    & opt int 10_000_000
-    & info [ "fuel" ] ~docv:"N" ~doc:"Maximum number of steps.")
-
 let budget_conv =
   Arg.conv ~docv:"SPEC"
     ( (fun s ->
@@ -95,7 +86,12 @@ let budget_arg =
     & info [ "budget" ] ~docv:"SPEC"
         ~doc:
           "Resource budget: comma-separated steps:N, states:N, ms:N, \
-           cells:N (a bare N means steps:N). Overrides $(b,--fuel).")
+           cells:N (a bare N means steps:N). Without it a run may take \
+           10000000 steps.")
+
+(* The budget a run gets when --budget is not given. *)
+let resolve_budget budget =
+  Option.value budget ~default:(Robust.Budget.of_steps 10_000_000)
 
 (* ---- observability flags (shared by every subcommand) ---- *)
 
@@ -104,17 +100,9 @@ let print_metrics_snapshot () =
   Obs.Metrics.render_text Format.std_formatter (Obs.Metrics.snapshot ());
   Format.pp_print_flush Format.std_formatter ()
 
-(* GC baseline for the whole invocation, taken at module initialisation
-   — the run-level [mem] block is the delta from here to the moment the
-   ledger record (or the --gc report) is assembled. *)
-let gc0 = Obs.Telemetry.sample ()
-
-let run_mem () =
-  Obs.Telemetry.measure ~before:gc0 ~after:(Obs.Telemetry.sample ())
-
 let print_gc_snapshot () =
   Format.printf "@[<v>-- gc --@,@]";
-  Obs.Telemetry.render_text Format.std_formatter (run_mem ());
+  Obs.Telemetry.render_text Format.std_formatter (Verdict.run_mem ());
   Format.pp_print_flush Format.std_formatter ()
 
 let parse_trace_spec (spec : string) : (string * string, string) result =
@@ -175,7 +163,7 @@ let setup_obs trace_spec metrics progress_spec gc =
           try
             let oc = open_out file in
             output_string oc
-              (Obs.Json.to_string (Obs.Telemetry.to_json (run_mem ())));
+              (Obs.Json.to_string (Obs.Telemetry.to_json (Verdict.run_mem ())));
             output_char oc '\n';
             close_out oc
           with Sys_error m ->
@@ -294,63 +282,8 @@ let domains_arg =
            Where a subcommand leaves $(docv) unset, the \
            $(b,TFIRIS_DOMAINS) environment variable supplies the default.")
 
-let forensics_pointer () =
-  match Obs.Forensics.last () with
-  | None -> None
-  | Some r ->
-    Some
-      (Obs.Json.Obj
-         [
-           ("component", Obs.Json.Str r.Obs.Forensics.r_component);
-           ("rule", Obs.Json.Str r.Obs.Forensics.r_rule);
-           ("step", Obs.Json.Int r.Obs.Forensics.r_step);
-         ])
-
-(** One ledger append per invocation, once the verdict is known.  The
-    caller supplies what only it knows (the canonical program/spec
-    texts, engine id, verdict, consumption); the record's environment
-    half (tool version, wall time, metrics snapshot, forensics pointer)
-    is assembled here. *)
-let ledger_append ledger ~cmd ~label ~engine ~program ~spec ?budget ?seed
-    ?domains ?(consumed = []) ?(cached = false) ~t0 ~verdict ~ok ?detail () =
-  match ledger with
-  | None -> ()
-  | Some path ->
-    Obs.Ledger.append ~path
-      {
-        Obs.Ledger.key =
-          Obs.Ledger.content_key ~program ~spec ~engine ~version:Tfiris.version;
-        cmd;
-        label;
-        engine;
-        version = Tfiris.version;
-        verdict;
-        ok;
-        detail;
-        budget = Option.map Robust.Budget.to_json budget;
-        consumed;
-        cached;
-        mem = Some (run_mem ());
-        wall_ms = (Unix.gettimeofday () -. t0) *. 1000.;
-        seed;
-        domains;
-        metrics =
-          (if Obs.Metrics.on () then
-             Some (Obs.Metrics.to_json (Obs.Metrics.snapshot ()))
-           else None);
-        forensics = (if ok then None else forensics_pointer ());
-      }
-
 (* ---- the certificate cache (--cache, shared by the verdict
-   commands) ----
-
-   The cache is keyed by the same content key as the ledger, so a hit
-   is exactly "a previous run of this (program, spec, engine, version)
-   already produced the verdict": the driver is skipped entirely and
-   the replayed verdict goes to the ledger with a key-neutral
-   [cached: true] block.  Only budget-independent verdicts are stored
-   (Certcache.cacheable_verdict); an exhaustion verdict depends on the
-   budget, which the key deliberately excludes. *)
+   commands; replay and store happen in {!Tfiris.Verdict}) ---- *)
 
 let cache_arg =
   Arg.(
@@ -367,85 +300,13 @@ let cache_arg =
            verdicts are ever cached. Inspect with $(b,tfiris cache \
            stats), evict with $(b,tfiris cache gc).")
 
-let cache_open = Option.map (fun dir -> Obs.Certcache.open_ ~dir)
-
-(** Look up the certificate for this invocation's content key.  The
-    stored command must match (and pass any command-specific
-    [validate]) — the engine id already separates subcommands in the
-    key, so a mismatch means a corrupt entry, which {!Obs.Certcache.find}
-    counts as a corrupt miss, not a hit. *)
-let cache_lookup ?(validate = fun (_ : Obs.Certcache.cert) -> true) cache ~cmd
-    ~engine ~program ~spec =
-  match cache with
-  | None -> None
-  | Some t ->
-    let key =
-      Obs.Ledger.content_key ~program ~spec ~engine ~version:Tfiris.version
-    in
-    Obs.Certcache.find t ~key ~validate:(fun c ->
-        c.Obs.Certcache.cmd = cmd && validate c)
-
-(** Store a fresh verdict after a miss.  Uncacheable (budget-dependent)
-    verdicts are silently skipped; rejections carry the forensics
-    pointer as their replay certificate. *)
-let cache_put cache ~cmd ~label ~engine ~program ~spec ~verdict ~ok ?detail
-    ?(consumed = []) () =
-  match cache with
-  | None -> ()
-  | Some t ->
-    let key =
-      Obs.Ledger.content_key ~program ~spec ~engine ~version:Tfiris.version
-    in
-    ignore
-      (Obs.Certcache.store t
-         {
-           Obs.Certcache.key;
-           cmd;
-           label;
-           engine;
-           version = Tfiris.version;
-           verdict;
-           ok;
-           detail;
-           consumed;
-           replay = (if ok then None else forensics_pointer ());
-         }
-        : bool)
-
-let note_cache_hit (c : Obs.Certcache.cert) =
-  Format.eprintf "tfiris: cache hit (%s, %s)@." c.Obs.Certcache.engine
-    c.Obs.Certcache.verdict
-
-(* Analyze certificates additionally carry per-severity finding counts
-   ("sev.info"/"sev.warning"/"sev.error" in [consumed]): the content
-   key deliberately excludes --fail-on, so the producing run's exit
-   code is not the replaying run's — a replay recomputes it from the
-   counts against THIS invocation's --fail-on.  A cert without the
-   counts cannot be replayed safely and is rejected as corrupt (a
-   re-verification), never replayed with a possibly-flipped verdict. *)
-
-let all_severities = Tfiris.Analysis.Finding.[ Info; Warning; Error ]
-
-let sev_key s = "sev." ^ Tfiris.Analysis.Finding.severity_to_string s
-
-let sev_consumed (findings : Tfiris.Analysis.Finding.t list) =
-  List.map
-    (fun s -> (sev_key s, Tfiris.Analysis.Finding.count_severity findings s))
-    all_severities
-
-let analyze_cert_has_sevs (c : Obs.Certcache.cert) =
-  List.for_all
-    (fun s -> List.mem_assoc (sev_key s) c.Obs.Certcache.consumed)
-    all_severities
-
-(** [ok] of a cached analyze verdict under this invocation's
-    [--fail-on]: no finding at or above it, per the stored counts. *)
-let analyze_cert_ok ~fail_on (c : Obs.Certcache.cert) =
-  List.for_all
-    (fun s ->
-      (not (Tfiris.Analysis.Finding.severity_ge s fail_on))
-      || List.assoc_opt (sev_key s) c.Obs.Certcache.consumed = Some 0)
-    all_severities
+(* One request through the verdict pipeline; its exit code.  [cache] is
+   the --cache directory. *)
+let certify ?cache ~ledger req compute =
+  (Verdict.certify
+     ~cache:(Option.map (fun dir -> Obs.Certcache.open_ ~dir) cache)
+     ~ledger req compute)
+    .Verdict.code
 
 (* ---- failure forensics (--explain) ---- *)
 
@@ -482,11 +343,9 @@ let with_explain explain f =
 (* The same outcome/stats as Interp.exec, but looping over the reference
    stepper's whole-program decompose/fill — kept for comparison against
    the frame-stack machine the library runs on (--engine). *)
-let reference_exec ?fuel ?budget e : Shl.Interp.outcome * Shl.Interp.stats =
+let reference_exec ~budget e : Shl.Interp.outcome * Shl.Interp.stats =
   let module Budget = Robust.Budget in
-  let m =
-    Budget.(meter (resolve ?fuel ?budget ~default_steps:10_000_000 ()))
-  in
+  let m = Budget.meter budget in
   let rec go cfg (pure, heap_s) =
     match Shl.Step.prim_step cfg with
     | Error Shl.Step.Finished -> (
@@ -528,201 +387,93 @@ let engine_arg =
            both side by side and report any observational disagreement \
            (exit 2).")
 
+(* One scheduled execution on the chosen engine; shared by `run` and
+   the corpus sweep. *)
+let run_compute ~engine ?budget e () =
+  let budget = resolve_budget budget in
+  let engine_id = Verdict.run_engine engine in
+  match engine with
+  | `Lockstep ->
+    let o = Shl.Machine.lockstep ~budget e in
+    let verdict, ok =
+      match o with
+      | Shl.Machine.Agree_value _ -> ("value", true)
+      | Shl.Machine.Agree_stuck _ -> ("stuck", false)
+      | Shl.Machine.Agree_out_of_fuel _ -> ("out_of_fuel", false)
+      | Shl.Machine.Disagree _ -> ("disagree", false)
+    in
+    ( Verdict.outcome ~engine:engine_id ~verdict ~ok
+        ~detail:(Format.asprintf "%a" Shl.Machine.pp_lockstep o)
+        (),
+      None )
+  | (`Machine | `Reference) as engine ->
+    let outcome, st =
+      match engine with
+      | `Machine -> Shl.Interp.exec ~budget e
+      | `Reference -> reference_exec ~budget e
+    in
+    let consumed = [ ("steps", st.Shl.Interp.steps) ] in
+    let verdict, ok, detail =
+      match outcome with
+      | Shl.Interp.Value (v, _) ->
+        ("value", true, Some (Shl.Pretty.value_to_string v))
+      | Shl.Interp.Stuck (_, redex) ->
+        ("stuck", false, Some (Shl.Pretty.expr_to_string redex))
+      | Shl.Interp.Out_of_fuel (r, _) ->
+        ("out_of_fuel:" ^ Robust.Budget.resource_name r, false, None)
+    in
+    ( Verdict.outcome ~engine:engine_id ~verdict ~ok ?detail ~consumed (),
+      Some st )
+
 (* run --domains=N: exhaustive interleaving exploration instead of one
    scheduled execution — every final value, every stuck thread, the
-   whole reachable state count, on N work-stealing domains.  Output is
-   sorted so it is identical at every domain count (the explorer's
-   reachable set is; only traversal order varies). *)
-let run_explore ~label ~e ~fuel ~budget ~stats ~ledger ~t0 n =
-  if n < 1 then or_die (Error "--domains must be >= 1");
-  let budget =
-    match budget with Some b -> b | None -> Robust.Budget.of_steps fuel
-  in
-  let r = Shl.Conc.explore ~budget ~domains:n (Shl.Conc.init e) in
+   whole reachable state count, on N work-stealing domains. *)
+let explore_compute ~budget ~domains e () =
+  let r = Shl.Conc.explore ~budget ~domains (Shl.Conc.init e) in
   let finals =
     List.sort compare
-      (List.map (fun (v, _) -> Shl.Pretty.value_to_string v)
+      (List.map
+         (fun (v, _) -> Shl.Pretty.value_to_string v)
          r.Shl.Conc.final_values)
   in
-  List.iter (fun v -> Format.printf "final: %s@." v) finals;
-  List.iter
-    (fun (tid, redex) -> Format.eprintf "stuck (thread %d) on: %s@." tid redex)
-    (List.sort compare
-       (List.map
-          (fun (tid, redex) -> (tid, Shl.Pretty.expr_to_string redex))
-          r.Shl.Conc.stuck));
-  (match r.Shl.Conc.exhausted with
-  | Some res ->
-    Format.eprintf "out of %s budget after %d states@."
-      (Robust.Budget.resource_name res)
-      r.Shl.Conc.states
-  | None -> ());
-  Format.printf "states: %d@." r.Shl.Conc.states;
-  if stats then
-    List.iter
-      (fun w ->
-        Format.printf "  domain %d: dequeued %d, stolen %d, %.1f ms@."
-          w.Shl.Conc.w_domain w.Shl.Conc.w_dequeued w.Shl.Conc.w_stolen
-          w.Shl.Conc.w_wall_ms)
-      r.Shl.Conc.workers;
   let verdict, ok =
     match r.Shl.Conc.exhausted with
     | Some res -> ("out_of_fuel:" ^ Robust.Budget.resource_name res, false)
     | None ->
       if r.Shl.Conc.stuck = [] then ("explored", true) else ("stuck", false)
   in
-  ledger_append ledger ~cmd:"run" ~label ~engine:"shl.explore"
-    ~program:(Shl.Pretty.expr_to_string e)
-    ~spec:"" ~budget
-    ~domains:
-      (n, List.map (fun w -> w.Shl.Conc.w_wall_ms) r.Shl.Conc.workers)
-    ~consumed:[ ("states", r.Shl.Conc.states) ]
-    ~t0 ~verdict ~ok
-    ~detail:(String.concat "," finals)
-    ();
-  if ok then 0 else 1
+  ( Verdict.outcome ~engine:"shl.explore" ~verdict ~ok
+      ~detail:(String.concat "," finals)
+      ~consumed:[ ("states", r.Shl.Conc.states) ]
+      ~domains:
+        (domains, List.map (fun w -> w.Shl.Conc.w_wall_ms) r.Shl.Conc.workers)
+      (),
+    (finals, r) )
 
 let run_cmd =
-  let action program fuel budget stats engine ledger domains cache =
+  let action program budget stats engine ledger domains cache =
     let label, e = or_die (parse_labeled program) in
-    let t0 = Unix.gettimeofday () in
     match domains with
     | Some n ->
-      (* exploration is not cached: its verdict comes with per-domain
-         wall splits and a full final-value set the certificate does
-         not carry *)
-      run_explore ~label ~e ~fuel ~budget ~stats ~ledger ~t0 n
+      if n < 1 then or_die (Error "--domains must be >= 1");
+      let budget = resolve_budget budget in
+      certify ~ledger
+        (Verdict.explore ~label ~budget ~stats e)
+        (explore_compute ~budget ~domains:n e)
     | None ->
-    let program_text = Shl.Pretty.expr_to_string e in
-    let cache = cache_open cache in
-    (* a certificate cannot reproduce lockstep's agree/disagree line or
-       the --stats step report, so those invocations never replay; a
-       lockstep run stores nothing either (its cert would be dead
-       weight), while a --stats run still stores — its verdict is
-       stats-independent and replayable by plain runs *)
-    let cache = match engine with `Lockstep -> None | _ -> cache in
-    let replayable = not stats in
-    let engine_id =
-      match engine with
-      | `Machine -> "shl.machine"
-      | `Reference -> "shl.reference"
-      | `Lockstep -> "shl.lockstep"
-    in
-    let finish ~engine_id ~verdict ~ok ?detail ?(consumed = []) code =
-      cache_put cache ~cmd:"run" ~label ~engine:engine_id
-        ~program:program_text ~spec:"" ~verdict ~ok ?detail ~consumed ();
-      ledger_append ledger ~cmd:"run" ~label ~engine:engine_id
-        ~program:program_text ~spec:"" ?budget ~consumed ~t0 ~verdict ~ok
-        ?detail ();
-      code
-    in
-    match
-      if not replayable then None
-      else
-        cache_lookup cache ~cmd:"run" ~engine:engine_id ~program:program_text
-          ~spec:""
-    with
-    | Some c ->
-      (* replay: the certificate's detail is the final value (stdout)
-         or the stuck redex (stderr); the driver never runs *)
-      note_cache_hit c;
-      (match (c.Obs.Certcache.verdict, c.Obs.Certcache.detail) with
-      | "value", Some v -> Format.printf "%s@." v
-      | "value", None -> ()
-      | verdict, Some d -> Format.eprintf "%s (cached) on: %s@." verdict d
-      | verdict, None -> Format.eprintf "%s (cached)@." verdict);
-      ledger_append ledger ~cmd:"run" ~label ~engine:engine_id
-        ~program:program_text ~spec:"" ?budget
-        ~consumed:c.Obs.Certcache.consumed ~cached:true ~t0
-        ~verdict:c.Obs.Certcache.verdict ~ok:c.Obs.Certcache.ok
-        ?detail:c.Obs.Certcache.detail ();
-      if c.Obs.Certcache.ok then 0 else 1
-    | None -> (
-    match engine with
-    | `Lockstep -> (
-      let o = Shl.Machine.lockstep ~fuel ?budget e in
-      Format.printf "%a@." Shl.Machine.pp_lockstep o;
-      let finish = finish ~engine_id:"shl.lockstep" in
-      match o with
-      | Shl.Machine.Agree_value _ -> finish ~verdict:"value" ~ok:true 0
-      | Shl.Machine.Agree_stuck _ -> finish ~verdict:"stuck" ~ok:false 1
-      | Shl.Machine.Agree_out_of_fuel _ ->
-        finish ~verdict:"out_of_fuel" ~ok:false 1
-      | Shl.Machine.Disagree _ -> finish ~verdict:"disagree" ~ok:false 2)
-    | (`Machine | `Reference) as engine -> (
-      let exec, engine_id =
-        match engine with
-        | `Machine -> ((fun e -> Shl.Interp.exec ~fuel ?budget e), "shl.machine")
-        | `Reference ->
-          ((fun e -> reference_exec ~fuel ?budget e), "shl.reference")
-      in
-      let finish = finish ~engine_id in
-      match exec e with
-      | Shl.Interp.Value (v, _), st ->
-        Format.printf "%s@." (Shl.Pretty.value_to_string v);
-        if stats then
-          Format.printf "steps: %d (pure %d, heap %d)@." st.Shl.Interp.steps
-            st.Shl.Interp.pure_steps st.Shl.Interp.heap_steps;
-        finish ~verdict:"value" ~ok:true
-          ~detail:(Shl.Pretty.value_to_string v)
-          ~consumed:[ ("steps", st.Shl.Interp.steps) ]
-          0
-      | Shl.Interp.Stuck (_, redex), st ->
-        Format.eprintf "stuck after %d steps on: %s@." st.Shl.Interp.steps
-          (Shl.Pretty.expr_to_string redex);
-        finish ~verdict:"stuck" ~ok:false
-          ~detail:(Shl.Pretty.expr_to_string redex)
-          ~consumed:[ ("steps", st.Shl.Interp.steps) ]
-          1
-      | Shl.Interp.Out_of_fuel (r, _), st ->
-        Format.eprintf "out of %s budget (%d steps taken)@."
-          (Robust.Budget.resource_name r)
-          st.Shl.Interp.steps;
-        finish
-          ~verdict:("out_of_fuel:" ^ Robust.Budget.resource_name r)
-          ~ok:false
-          ~consumed:[ ("steps", st.Shl.Interp.steps) ]
-          1))
+      certify ?cache ~ledger
+        (Verdict.run ~label ?budget ~engine ~stats e)
+        (run_compute ~engine ?budget e)
   in
   let stats =
     Arg.(value & flag & info [ "stats" ] ~doc:"Print step statistics.")
   in
   Cmd.v (Cmd.info "run" ~doc:"Run an SHL program.")
     Term.(
-      const (fun () p f b s g l d c ->
-          Stdlib.exit (protect (fun () -> action p f b s g l d c)))
-      $ obs_term $ program_term $ fuel_arg $ budget_arg $ stats $ engine_arg
+      const (fun () p b s g l d c ->
+          Stdlib.exit (protect (fun () -> action p b s g l d c)))
+      $ obs_term $ program_term $ budget_arg $ stats $ engine_arg
       $ ledger_arg $ domains_arg $ cache_arg)
-
-(* ---- stats ---- *)
-
-let stats_cmd =
-  let action program fuel =
-    Obs.Metrics.set_enabled true;
-    let _, e = or_die (parse_labeled program) in
-    let outcome, st = Shl.Interp.exec ~fuel e in
-    (match outcome with
-    | Shl.Interp.Value (v, _) ->
-      Format.printf "value: %s@." (Shl.Pretty.value_to_string v)
-    | Shl.Interp.Stuck (_, redex) ->
-      Format.printf "stuck on: %s@." (Shl.Pretty.expr_to_string redex)
-    | Shl.Interp.Out_of_fuel (r, _) ->
-      Format.printf "out of %s budget (%d steps)@."
-        (Robust.Budget.resource_name r)
-        st.Shl.Interp.steps);
-    Format.printf "steps: %d (pure %d, heap %d)@." st.Shl.Interp.steps
-      st.Shl.Interp.pure_steps st.Shl.Interp.heap_steps;
-    print_metrics_snapshot ();
-    match outcome with Shl.Interp.Value _ -> 0 | _ -> 1
-  in
-  Cmd.v
-    (Cmd.info "stats"
-       ~doc:
-         "Run an SHL program with metrics enabled and print the full \
-          observability snapshot.")
-    Term.(
-      const (fun () p f -> Stdlib.exit (protect (fun () -> action p f)))
-      $ obs_term $ program_term $ fuel_arg)
 
 (* ---- trace ---- *)
 
@@ -747,20 +498,28 @@ let trace_cmd =
 
 (* ---- analyze ---- *)
 
-let analyze_cmd =
-  let module An = Tfiris.Analysis.Analyzer in
-  let module F = Tfiris.Analysis.Finding in
-  let read_file path =
-    try
-      let ic = open_in path in
-      let n = in_channel_length ic in
-      let s = really_input_string ic n in
-      close_in ic;
-      Ok s
-    with Sys_error m -> Error m
+module An = Tfiris.Analysis.Analyzer
+
+(* The analyzer over parsed programs, plus the dynamic race oracle on
+   --domains=N; shared by `analyze` and the corpus sweep. *)
+let analyze_compute ~passes ~fail_on ~domains parsed () =
+  let reports =
+    List.map (fun (label, e) -> An.analyze ~passes ~label e) parsed
   in
-  let module Races = Tfiris.Analysis.Races in
-  let action expr files fmt fail_on only skip timings ledger domains cache =
+  let dynamic =
+    match domains with
+    | None -> []
+    | Some n ->
+      List.map
+        (fun (label, e) ->
+          (label, Tfiris.Analysis.Races.dynamic_races ~domains:n e))
+        parsed
+  in
+  (Verdict.analysis ~passes ~fail_on reports, (reports, dynamic))
+
+let analyze_cmd =
+  let module F = Tfiris.Analysis.Finding in
+  let action expr files format fail_on only skip timings ledger domains cache =
     List.iter
       (fun p ->
         if not (List.mem p An.pass_names) then
@@ -769,137 +528,25 @@ let analyze_cmd =
                (Printf.sprintf "unknown pass %S (available: %s)" p
                   (String.concat ", " An.pass_names))))
       (only @ skip);
-    let selected =
+    let passes =
       (match only with [] -> An.pass_names | ps -> ps)
       |> List.filter (fun p -> not (List.mem p skip))
     in
-    if selected = [] then or_die (Error "every pass is disabled");
+    if passes = [] then or_die (Error "every pass is disabled");
     let programs =
       List.map (fun f -> (f, or_die (read_file f))) files
       @ match expr with Some s -> [ ("<expr>", s) ] | None -> []
     in
     if programs = [] then
       or_die (Error "no program: use -e EXPR or give files");
-    let t0 = Unix.gettimeofday () in
     let parsed =
       List.map
         (fun (label, src) -> (label, or_die (parse_program src)))
         programs
     in
-    let cache = cache_open cache in
-    let label_all = String.concat "," (List.map fst programs) in
-    let program_all =
-      String.concat "\x00"
-        (List.map (fun (_, e) -> Shl.Pretty.expr_to_string e) parsed)
-    in
-    let spec_all = String.concat "," selected in
-    match
-      (* a certificate stores only the json-stable report, so only a
-         json-stable invocation can replay it byte-identically; other
-         formats (and --domains, whose dynamic race oracle must run)
-         skip the cache and compute fresh — a format mismatch is never
-         answered with the wrong rendering *)
-      if fmt <> `Json_stable || domains <> None then None
-      else
-        cache_lookup cache ~cmd:"analyze" ~engine:"analysis"
-          ~program:program_all ~spec:spec_all ~validate:analyze_cert_has_sevs
-    with
-    | Some c ->
-      (* replay: stdout is the stored json-stable report; the exit code
-         is recomputed from the per-severity counts against THIS
-         invocation's --fail-on (the producing run's may differ — the
-         content key deliberately excludes it) *)
-      note_cache_hit c;
-      (match c.Obs.Certcache.detail with
-      | Some d -> print_endline d
-      | None -> ());
-      let ok = analyze_cert_ok ~fail_on c in
-      ledger_append ledger ~cmd:"analyze" ~label:label_all ~engine:"analysis"
-        ~program:program_all ~spec:spec_all
-        ~consumed:c.Obs.Certcache.consumed ~cached:true ~t0
-        ~verdict:c.Obs.Certcache.verdict ~ok ();
-      if ok then 0 else 1
-    | None ->
-    let reports =
-      List.map
-        (fun (label, e) -> An.analyze ~passes:selected ~label e)
-        parsed
-    in
-    (match fmt with
-    | `Json ->
-      let j = Obs.Json.List (List.map An.report_to_json reports) in
-      print_endline (Obs.Json.to_string j)
-    | `Json_stable ->
-      (* no volatile fields: the form the corpus baseline is diffed in *)
-      let j = Obs.Json.List (List.map An.report_to_json_stable reports) in
-      print_endline (Obs.Json.to_string j)
-    | `Text ->
-      List.iter
-        (fun r -> Format.printf "%a@." (An.render_text ~timings) r)
-        reports);
-    (* --domains=N: re-derive races dynamically on the parallel explorer
-       and report the cross-validation on stderr.  Findings and stdout
-       stay byte-identical — the corpus baseline diffs them. *)
-    (match domains with
-    | None -> ()
-    | Some n ->
-      let kname = function
-        | Races.D_read -> "read"
-        | Races.D_write -> "write"
-        | Races.D_cas -> "cas"
-      in
-      List.iter
-        (fun (label, e) ->
-          let dyn = Races.dynamic_races ~domains:n e in
-          Format.eprintf "dynamic race oracle (%d domains) %s: %d racy \
-                          location%s@."
-            n label (List.length dyn)
-            (if List.length dyn = 1 then "" else "s");
-          List.iter
-            (fun d ->
-              Format.eprintf "  loc %d: %s/%s@." d.Races.d_loc
-                (kname d.Races.k1) (kname d.Races.k2))
-            dyn)
-        parsed);
-    let code =
-      if List.exists (fun r -> An.fails ~fail_on r) reports then 1 else 0
-    in
-    let total =
-      List.fold_left (fun acc r -> acc + List.length r.An.findings) 0 reports
-    in
-    (* per-pass finding counts, so `tfiris report` can show analysis
-       drift by pass, not just run verdicts *)
-    let per_pass =
-      List.map
-        (fun p ->
-          ( "pass." ^ p,
-            List.fold_left
-              (fun acc r ->
-                List.fold_left
-                  (fun acc t ->
-                    if t.An.t_pass = p then acc + t.An.t_found else acc)
-                  acc r.An.timings)
-              0 reports ))
-        selected
-    in
-    let verdict =
-      if total = 0 then "clean" else Printf.sprintf "findings:%d" total
-    in
-    let consumed =
-      ("findings", total)
-      :: sev_consumed (List.concat_map (fun r -> r.An.findings) reports)
-      @ per_pass
-    in
-    cache_put cache ~cmd:"analyze" ~label:label_all ~engine:"analysis"
-      ~program:program_all ~spec:spec_all ~verdict ~ok:(code = 0)
-      ~detail:
-        (Obs.Json.to_string
-           (Obs.Json.List (List.map An.report_to_json_stable reports)))
-      ~consumed ();
-    ledger_append ledger ~cmd:"analyze" ~label:label_all ~engine:"analysis"
-      ~program:program_all ~spec:spec_all ~consumed ~t0 ~verdict
-      ~ok:(code = 0) ();
-    code
+    certify ?cache ~ledger
+      (Verdict.analyze ~format ~fail_on ~passes ~timings ~domains parsed)
+      (analyze_compute ~passes ~fail_on ~domains parsed)
   in
   let expr =
     Arg.(
@@ -981,48 +628,32 @@ let parse_credit s =
     | _ -> Error (Printf.sprintf "cannot parse credit %S (try: 100, w, w*2, w^2, w^w)" s))
 
 let check_term_cmd =
+  let compute ?budget ~credits e () =
+    let module Wp = Termination.Wp in
+    let v = Wp.run ?budget ~credits (Wp.adaptive ()) (Shl.Step.config e) in
+    let verdict, ok, st =
+      match v with
+      | Wp.Terminated (_, _, st) -> ("terminated", true, st)
+      | Wp.Rejected (r, st) -> ("rejected:" ^ Wp.rule_name r, false, st)
+    in
+    ( Verdict.outcome ~engine:"termination.wp/adaptive" ~verdict ~ok
+        ~detail:(Format.asprintf "%a" Wp.pp_verdict v)
+        ~consumed:
+          [
+            ("steps", st.Wp.steps);
+            ("limit_refinements", st.Wp.limit_refinements);
+          ]
+        (),
+      () )
+  in
   let action program credit budget explain ledger cache =
     let label, e = or_die (parse_labeled program) in
     let credits = or_die (parse_credit credit) in
-    let t0 = Unix.gettimeofday () in
-    let engine = "termination.wp/adaptive" in
-    let program_text = Shl.Pretty.expr_to_string e in
-    let spec = Ord.to_string credits in
-    let cache = cache_open cache in
-    match cache_lookup cache ~cmd:"check-term" ~engine ~program:program_text ~spec with
-    | Some c ->
-      note_cache_hit c;
-      Format.printf "%s (cached)@." c.Obs.Certcache.verdict;
-      ledger_append ledger ~cmd:"check-term" ~label ~engine
-        ~program:program_text ~spec ?budget
-        ~consumed:c.Obs.Certcache.consumed ~cached:true ~t0
-        ~verdict:c.Obs.Certcache.verdict ~ok:c.Obs.Certcache.ok
-        ?detail:c.Obs.Certcache.detail ();
-      if c.Obs.Certcache.ok then 0 else 1
-    | None ->
     with_explain explain (fun () ->
-        let v =
-          Termination.Wp.run ?budget ~credits (Termination.Wp.adaptive ())
-            (Shl.Step.config e)
-        in
-        Format.printf "%a@." Termination.Wp.pp_verdict v;
-        let verdict, ok, st =
-          match v with
-          | Termination.Wp.Terminated (_, _, st) -> ("terminated", true, st)
-          | Termination.Wp.Rejected (r, st) ->
-            ("rejected:" ^ Termination.Wp.rule_name r, false, st)
-        in
-        let consumed =
-          [
-            ("steps", st.Termination.Wp.steps);
-            ("limit_refinements", st.Termination.Wp.limit_refinements);
-          ]
-        in
-        cache_put cache ~cmd:"check-term" ~label ~engine
-          ~program:program_text ~spec ~verdict ~ok ~consumed ();
-        ledger_append ledger ~cmd:"check-term" ~label ~engine
-          ~program:program_text ~spec ?budget ~consumed ~t0 ~verdict ~ok ();
-        if ok then 0 else 1)
+        certify ?cache ~ledger
+          (Verdict.check_term ~label ?budget ~explain:(explain <> None)
+             ~credits e)
+          (compute ?budget ~credits e))
   in
   let credit =
     Arg.(
@@ -1042,95 +673,53 @@ let check_term_cmd =
 (* ---- refine ---- *)
 
 let refine_cmd =
-  let action target source fuel budget explain ledger cache =
+  let compute ~budget t s () =
+    let module D = Refinement.Driver in
+    let tc = Shl.Step.config t and sc = Shl.Step.config s in
+    let run = D.run ~budget:(resolve_budget budget) ~target:tc ~source:sc in
+    (* the oracle's pre-run bound is a constant, so the strategy (and
+       with it the content key) is a function of the two programs
+       alone, never of --budget *)
+    let strategy, preamble, v =
+      match Refinement.Strategy.oracle ~target:tc ~source:sc () with
+      | Some strat -> ("oracle", "", run strat)
+      | None ->
+        (* no oracle certificate: fall back to lockstep (handles the
+           diverging/diverging case) *)
+        ( "lockstep",
+          "(no oracle certificate; lockstep attempt)\n",
+          run Refinement.Strategy.lockstep )
+    in
+    let verdict, ok, st =
+      match v with
+      | D.Accepted (D.Terminated _, st) -> ("accepted", true, st)
+      | D.Accepted (D.Fuel_exhausted r, st) ->
+        ("fuel_exhausted:" ^ Robust.Budget.resource_name r, true, st)
+      | D.Rejected (r, st) -> ("rejected:" ^ D.rule_name r, false, st)
+    in
+    ( Verdict.outcome ~engine:("refinement.driver/" ^ strategy) ~verdict ~ok
+        ~detail:(preamble ^ Format.asprintf "%a" D.pp_verdict v)
+        ~consumed:
+          [
+            ("steps", st.D.target_steps);
+            ("source_steps", st.D.source_steps);
+            ("stutters", st.D.stutters);
+          ]
+        (),
+      () )
+  in
+  let action target source budget explain ledger cache =
     let parse_arg what = function
       | Some s -> parse_program s
       | None -> Error ("missing --" ^ what)
     in
     let t = or_die (parse_arg "target" target) in
     let s = or_die (parse_arg "source" source) in
-    let tc = Shl.Step.config t and sc = Shl.Step.config s in
-    let t0 = Unix.gettimeofday () in
-    let cache = cache_open cache in
-    (* the refinement judgement has two texts: the target is the
-       "program", the source is its specification *)
-    let program_text = Shl.Pretty.expr_to_string t in
-    let spec_text = Shl.Pretty.expr_to_string s in
-    let label =
-      Obs.Forensics.trunc ~limit:40 program_text
-      ^ " =< "
-      ^ Obs.Forensics.trunc ~limit:40 spec_text
-    in
-    (* which strategy certifies the pair (oracle vs lockstep fallback)
-       is itself an outcome of the run, and the engine id — hence the
-       content key — records it; a lookup therefore probes both
-       possible keys *)
-    let cached_cert =
-      List.find_map
-        (fun strategy ->
-          cache_lookup cache ~cmd:"refine"
-            ~engine:("refinement.driver/" ^ strategy)
-            ~program:program_text ~spec:spec_text)
-        [ "oracle"; "lockstep" ]
-    in
-    match cached_cert with
-    | Some c ->
-      note_cache_hit c;
-      Format.printf "%s (cached)@." c.Obs.Certcache.verdict;
-      ledger_append ledger ~cmd:"refine" ~label ~engine:c.Obs.Certcache.engine
-        ~program:program_text ~spec:spec_text ?budget
-        ~consumed:c.Obs.Certcache.consumed ~cached:true ~t0
-        ~verdict:c.Obs.Certcache.verdict ~ok:c.Obs.Certcache.ok
-        ?detail:c.Obs.Certcache.detail ();
-      if c.Obs.Certcache.ok then 0 else 1
-    | None ->
-    let finish ~strategy v =
-      let verdict, ok, st =
-        match v with
-        | Refinement.Driver.Accepted (Refinement.Driver.Terminated _, st) ->
-          ("accepted", true, st)
-        | Refinement.Driver.Accepted (Refinement.Driver.Fuel_exhausted r, st)
-          ->
-          ("fuel_exhausted:" ^ Robust.Budget.resource_name r, true, st)
-        | Refinement.Driver.Rejected (r, st) ->
-          ("rejected:" ^ Refinement.Driver.rule_name r, false, st)
-      in
-      let consumed =
-        [
-          ("steps", st.Refinement.Driver.target_steps);
-          ("source_steps", st.Refinement.Driver.source_steps);
-          ("stutters", st.Refinement.Driver.stutters);
-        ]
-      in
-      cache_put cache ~cmd:"refine" ~label
-        ~engine:("refinement.driver/" ^ strategy)
-        ~program:program_text ~spec:spec_text ~verdict ~ok ~consumed ();
-      ledger_append ledger ~cmd:"refine" ~label
-        ~engine:("refinement.driver/" ^ strategy)
-        ~program:program_text ~spec:spec_text ?budget ~consumed ~t0 ~verdict
-        ~ok ();
-      match v with
-      | Refinement.Driver.Accepted _ -> 0
-      | Refinement.Driver.Rejected _ -> 1
-    in
     with_explain explain (fun () ->
-        match Refinement.Strategy.oracle ~fuel ~target:tc ~source:sc () with
-        | Some strat ->
-          let v =
-            Refinement.Driver.run ~fuel ?budget ~target:tc ~source:sc strat
-          in
-          Format.printf "%a@." Refinement.Driver.pp_verdict v;
-          finish ~strategy:"oracle" v
-        | None ->
-          (* no oracle certificate: fall back to lockstep (handles the
-             diverging/diverging case) *)
-          let v =
-            Refinement.Driver.run ~fuel ?budget ~target:tc ~source:sc
-              Refinement.Strategy.lockstep
-          in
-          Format.printf "(no oracle certificate; lockstep attempt)@.%a@."
-            Refinement.Driver.pp_verdict v;
-          finish ~strategy:"lockstep" v)
+        certify ?cache ~ledger
+          (Verdict.refine ?budget ~explain:(explain <> None) ~target:t
+             ~source:s ())
+          (compute ~budget t s))
   in
   let target =
     Arg.(
@@ -1148,9 +737,9 @@ let refine_cmd =
     (Cmd.info "refine"
        ~doc:"Check a termination-preserving refinement between two SHL programs.")
     Term.(
-      const (fun () t s f b x l c ->
-          Stdlib.exit (protect (fun () -> action t s f b x l c)))
-      $ obs_term $ target $ source $ fuel_arg $ budget_arg $ explain_term
+      const (fun () t s b x l c ->
+          Stdlib.exit (protect (fun () -> action t s b x l c)))
+      $ obs_term $ target $ source $ budget_arg $ explain_term
       $ ledger_arg $ cache_arg)
 
 (* ---- prove ---- *)
@@ -1363,36 +952,23 @@ let profile_cmd =
 let chaos_cmd =
   let action seeds out ledger domains =
     if seeds <= 0 then or_die (Error "--seeds must be positive");
-    let t0 = Unix.gettimeofday () in
-    let r = Robust.Chaos.run ~seeds ?domains () in
-    Format.printf "%a@." Robust.Chaos.pp_report r;
-    (match out with
-    | None -> ()
-    | Some file ->
-      let oc = open_out file in
-      output_string oc (Obs.Json.to_string (Robust.Chaos.report_to_json r));
-      output_char oc '\n';
-      close_out oc;
-      Format.printf "report written to %s@." file);
-    let failures = List.length r.Robust.Chaos.failures in
-    (* one record for the whole battery; the seed count is the spec
-       (more seeds = a different, stronger check) *)
-    ledger_append ledger ~cmd:"chaos" ~label:"chaos-battery"
-      ~engine:"robust.chaos" ~program:"chaos-battery"
-      ~spec:(Printf.sprintf "seeds:%d" seeds)
-      ~consumed:
-        [
-          ("seeds", seeds);
-          ("checks", r.Robust.Chaos.checks_run);
-          ("failures", failures);
-        ]
-      ~t0
-      ?domains:(Option.map (fun n -> (n, [])) domains)
-      ~verdict:
-        (if Robust.Chaos.passed r then "passed"
-         else Printf.sprintf "failed:%d" failures)
-      ~ok:(Robust.Chaos.passed r) ();
-    if Robust.Chaos.passed r then 0 else 1
+    certify ~ledger (Verdict.chaos ~seeds ~out) (fun () ->
+        let r = Robust.Chaos.run ~seeds ?domains () in
+        let failures = List.length r.Robust.Chaos.failures in
+        let ok = Robust.Chaos.passed r in
+        ( Verdict.outcome ~engine:"robust.chaos"
+            ~verdict:
+              (if ok then "passed" else Printf.sprintf "failed:%d" failures)
+            ~ok
+            ~consumed:
+              [
+                ("seeds", seeds);
+                ("checks", r.Robust.Chaos.checks_run);
+                ("failures", failures);
+              ]
+            ?domains:(Option.map (fun n -> (n, [])) domains)
+            (),
+          r ))
   in
   let seeds =
     Arg.(
@@ -1593,15 +1169,15 @@ let cache_cmd =
 (* ---- verify-corpus ---- *)
 
 (* The incremental-re-verification driver: every committed example goes
-   through the run and analyze stages against the certificate cache.
-   A cold sweep computes and stores every verdict; a warm sweep replays
+   through the very `run FILE` and `analyze --format=json-stable FILE`
+   requests of those subcommands, against the certificate cache.  A
+   cold sweep computes and stores every verdict; a warm sweep replays
    them (the drivers never run), which is the O(changes) property CI
    asserts with --min-hit-rate and a cold-vs-warm ledger diff. *)
 let verify_corpus_cmd =
-  let module An = Tfiris.Analysis.Analyzer in
   let action dir cache_dir ledger min_hit_rate =
     let t_start = Unix.gettimeofday () in
-    let cache = cache_open (Some cache_dir) in
+    let cache = Some (Obs.Certcache.open_ ~dir:cache_dir) in
     let files =
       match Sys.readdir dir with
       | exception Sys_error m -> or_die (Error m)
@@ -1614,97 +1190,26 @@ let verify_corpus_cmd =
     if files = [] then
       or_die (Error (Printf.sprintf "no .shl programs under %s" dir));
     let lookups = ref 0 and hits = ref 0 in
-    (* one cache round per (file, stage): replay on hit, compute and
-       store on miss; either way the ledger gets a record whose verdict
-       is stage-deterministic, so a cold/warm `report --diff` is
-       flip-free by construction unless the cache lied *)
-    let stage ~cmd ~engine ~label ~program ~spec
-        ?(validate = fun (_ : Obs.Certcache.cert) -> true)
-        ?(ok_of_cert = fun (c : Obs.Certcache.cert) -> c.Obs.Certcache.ok)
-        compute =
-      let t0 = Unix.gettimeofday () in
+    let row stage file req compute =
+      let r = Verdict.certify ~quiet:true ~cache ~ledger req compute in
       incr lookups;
-      match cache_lookup cache ~cmd ~engine ~program ~spec ~validate with
-      | Some c ->
-        incr hits;
-        ledger_append ledger ~cmd ~label ~engine ~program ~spec
-          ~consumed:c.Obs.Certcache.consumed ~cached:true ~t0
-          ~verdict:c.Obs.Certcache.verdict ~ok:(ok_of_cert c)
-          ?detail:c.Obs.Certcache.detail ();
-        (true, c.Obs.Certcache.verdict)
-      | None ->
-        let verdict, ok, detail, consumed = compute () in
-        cache_put cache ~cmd ~label ~engine ~program ~spec ~verdict ~ok
-          ?detail ~consumed ();
-        ledger_append ledger ~cmd ~label ~engine ~program ~spec ~consumed ~t0
-          ~verdict ~ok ?detail ();
-        (false, verdict)
-    in
-    let row hit stage_name file verdict =
+      if r.Verdict.hit then incr hits;
       Format.printf "%-4s %-8s %-32s %s@."
-        (if hit then "HIT" else "MISS")
-        stage_name file verdict
+        (if r.Verdict.hit then "HIT" else "MISS")
+        stage file r.Verdict.outcome.Verdict.verdict
     in
     List.iter
       (fun file ->
-        let src =
-          let ic = open_in file in
-          Fun.protect
-            ~finally:(fun () -> close_in_noerr ic)
-            (fun () -> really_input_string ic (in_channel_length ic))
-        in
-        let e = or_die (parse_program src) in
-        let program = Shl.Pretty.expr_to_string e in
-        let hit, verdict =
-          stage ~cmd:"run" ~engine:"shl.machine" ~label:file ~program ~spec:""
-            (fun () ->
-              match Shl.Interp.exec ~fuel:10_000_000 e with
-              | Shl.Interp.Value (v, _), st ->
-                ( "value",
-                  true,
-                  Some (Shl.Pretty.value_to_string v),
-                  [ ("steps", st.Shl.Interp.steps) ] )
-              | Shl.Interp.Stuck (_, redex), st ->
-                ( "stuck",
-                  false,
-                  Some (Shl.Pretty.expr_to_string redex),
-                  [ ("steps", st.Shl.Interp.steps) ] )
-              | Shl.Interp.Out_of_fuel (r, _), st ->
-                ( "out_of_fuel:" ^ Robust.Budget.resource_name r,
-                  false,
-                  None,
-                  [ ("steps", st.Shl.Interp.steps) ] ))
-        in
-        row hit "run" file verdict;
-        let hit, verdict =
-          (* analyze certs replay only via their per-severity counts,
-             recomputed here against the corpus gate (--fail-on error) *)
-          stage ~cmd:"analyze" ~engine:"analysis" ~label:file ~program
-            ~spec:(String.concat "," An.pass_names)
-            ~validate:analyze_cert_has_sevs
-            ~ok_of_cert:(analyze_cert_ok ~fail_on:Tfiris.Analysis.Finding.Error)
-            (fun () ->
-              let r = An.analyze ~passes:An.pass_names ~label:file e in
-              let total = List.length r.An.findings in
-              let per_pass =
-                List.map
-                  (fun p ->
-                    ( "pass." ^ p,
-                      List.fold_left
-                        (fun acc t ->
-                          if t.An.t_pass = p then acc + t.An.t_found else acc)
-                        0 r.An.timings ))
-                  An.pass_names
-              in
-              ( (if total = 0 then "clean"
-                 else Printf.sprintf "findings:%d" total),
-                not (An.fails ~fail_on:Tfiris.Analysis.Finding.Error r),
-                Some
-                  (Obs.Json.to_string
-                     (Obs.Json.List [ An.report_to_json_stable r ])),
-                ("findings", total) :: sev_consumed r.An.findings @ per_pass ))
-        in
-        row hit "analyze" file verdict)
+        let e = or_die (parse_program (or_die (read_file file))) in
+        row "run" file
+          (Verdict.run ~label:file ~engine:`Machine ~stats:false e)
+          (run_compute ~engine:`Machine e);
+        let passes = An.pass_names in
+        let fail_on = Tfiris.Analysis.Finding.Error in
+        row "analyze" file
+          (Verdict.analyze ~format:`Json_stable ~fail_on ~passes ~timings:false
+             ~domains:None [ (file, e) ])
+          (analyze_compute ~passes ~fail_on ~domains:None [ (file, e) ]))
       files;
     let wall_ms = (Unix.gettimeofday () -. t_start) *. 1000. in
     let rate =
@@ -1771,7 +1276,6 @@ let () =
        (Cmd.group info
           [
             run_cmd;
-            stats_cmd;
             trace_cmd;
             analyze_cmd;
             check_term_cmd;

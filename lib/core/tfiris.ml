@@ -157,4 +157,10 @@ module Promises = struct
   module Combinators = Tfiris_promises.Combinators
 end
 
-let version = "1.0.0"
+(** The verdict pipeline the CLI's verdict-producing subcommands share:
+    content key, certificate replay or computation, rendering,
+    certificate store and ledger append (see DESIGN.md, "The verdict
+    pipeline"). *)
+module Verdict = Verdict
+
+let version = Verdict.version

@@ -5,7 +5,8 @@
        > test/content_keys.golden
 
    Only regenerate after an intentional corpus, pretty-printer, or key
-   schema change; the diff is the review surface. *)
+   schema change; the diff is the review surface.  Each key is the one
+   the CLI writes to --ledger for that subcommand on that file. *)
 
 open Tfiris
 
@@ -25,15 +26,19 @@ let () =
   List.iter
     (fun f ->
       let e = Shl.Parser.parse_exn (read_file (Filename.concat dir f)) in
-      let program = Shl.Pretty.expr_to_string e in
+      (* the requests `run FILE`, `analyze FILE` and `check-term FILE`
+         send, keyed by the pipeline's own request-to-key function *)
       List.iter
-        (fun (cmd, spec, engine) ->
-          Printf.printf "%s  %s %s\n"
-            (Obs.Ledger.content_key ~program ~spec ~engine ~version)
-            f cmd)
+        (fun (cmd, key) -> Printf.printf "%s  %s %s\n" key f cmd)
         [
-          ("run", "", "shl.machine");
-          ("analyze", "all", "analysis");
-          ("check-term", "w", "termination.wp/adaptive");
+          ("run", Verdict.key (Verdict.run ~label:f ~engine:`Machine ~stats:false e));
+          ( "analyze",
+            Verdict.key
+              (Verdict.analyze ~format:`Text ~fail_on:Analysis.Finding.Error
+                 ~passes:Analysis.Analyzer.pass_names ~timings:false
+                 ~domains:None [ (f, e) ]) );
+          ( "check-term",
+            Verdict.key
+              (Verdict.check_term ~label:f ~explain:false ~credits:Ord.omega e) );
         ])
     files

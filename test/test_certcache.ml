@@ -511,6 +511,116 @@ let test_cli_run_stats_no_replay () =
       Alcotest.(check bool) "plain run replays the stats-run cert" true
         (contains (read_file err3) "cache hit"))
 
+(* The refine strategy (oracle, or the lockstep fallback) is part of the
+   content key, and it is decided by the two programs alone: a run
+   under a tiny --budget can no longer store a lockstep rejection that
+   a plain run then replays.  --fuel is gone (--budget=N means
+   steps:N). *)
+let test_cli_refine_key_ignores_budget () =
+  if not (Sys.file_exists exe) then Alcotest.skip ();
+  with_tmpdir (fun dir ->
+      let cache = Filename.quote (Filename.concat dir "cache") in
+      let out = Filename.concat dir "out" in
+      let fresh = Filename.concat dir "fresh" in
+      let pair = "--target='1 + 2 + 3' --source='6'" in
+      Alcotest.(check int) "budget-starved run" 0
+        (sh "%s refine --budget=1 %s --cache=%s > /dev/null 2>&1" exe pair cache);
+      Alcotest.(check int) "plain run with the same cache" 0
+        (sh "%s refine %s --cache=%s > %s 2>/dev/null" exe pair cache
+           (Filename.quote out));
+      Alcotest.(check int) "plain run without a cache" 0
+        (sh "%s refine %s > %s 2>/dev/null" exe pair (Filename.quote fresh));
+      Alcotest.(check bool) "accepted" true
+        (String.starts_with ~prefix:"accepted:" (read_file out));
+      Alcotest.(check string) "what a fresh run prints" (read_file fresh)
+        (read_file out);
+      Alcotest.(check int) "--fuel is an unknown option" 124
+        (sh "%s refine --fuel=1 %s > /dev/null 2>&1" exe pair))
+
+(* A certificate's report names the programs of the run that stored
+   it; replayed for another file with the same text, the report names
+   this invocation's file, byte-identical to a fresh run. *)
+let test_cli_analyze_replay_relabels () =
+  if not (Sys.file_exists exe) then Alcotest.skip ();
+  with_tmpdir (fun dir ->
+      let cache = Filename.quote (Filename.concat dir "cache") in
+      let a = Filename.concat dir "a.shl" and b = Filename.concat dir "b.shl" in
+      write_file a "let x = 1 in 2";
+      write_file b "let x = 1 in 2";
+      let warm = Filename.concat dir "warm" and err = Filename.concat dir "err" in
+      let fresh = Filename.concat dir "fresh" in
+      Alcotest.(check int) "store under a.shl" 0
+        (sh "%s analyze --format=json-stable %s --cache=%s > /dev/null 2>&1" exe
+           (Filename.quote a) cache);
+      Alcotest.(check int) "replay for b.shl" 0
+        (sh "%s analyze --format=json-stable %s --cache=%s > %s 2> %s" exe
+           (Filename.quote b) cache (Filename.quote warm) (Filename.quote err));
+      Alcotest.(check bool) "replayed" true (contains (read_file err) "cache hit");
+      Alcotest.(check bool) "names b.shl" true
+        (contains (read_file warm) (Printf.sprintf "\"program\":%S" b));
+      Alcotest.(check int) "fresh b.shl" 0
+        (sh "%s analyze --format=json-stable %s > %s 2>/dev/null" exe
+           (Filename.quote b) (Filename.quote fresh));
+      Alcotest.(check string) "byte-identical to a fresh run" (read_file fresh)
+        (read_file warm))
+
+(* Cold/warm byte identity: each invocation runs twice into a fresh
+   cache; the first must miss and the second hit, and apart from the
+   cache-hit note both print the same stdout, stderr and exit code. *)
+let cold_warm_invocations =
+  [
+    ("run value", "run -e '1 + 2 * 3'", 0);
+    ("run stuck", "run -e '1 + true'", 1);
+    ( "analyze --fail-on=info",
+      "analyze --format=json-stable --fail-on=info -e 'let x = 1 in 2'",
+      1 );
+    ( "analyze --fail-on=error",
+      "analyze --format=json-stable --fail-on=error -e 'let x = 1 in 2'",
+      0 );
+    ( "check-term terminated",
+      "check-term -e '(rec f n. if n = 0 then 0 else f (n - 1)) 10'",
+      0 );
+    ( "check-term gave up",
+      "check-term --credits=3 -e '(rec f n. if n = 0 then 0 else f (n - 1)) 10'",
+      1 );
+    ("check-term stuck", "check-term -e '1 + true'", 1);
+    ("refine accepted (oracle)", "refine --target='1 + 2 + 3' --source='6'", 0);
+    ("refine rejected (oracle)", "refine --target='1 + 2' --source='4'", 1);
+    ("refine lockstep fallback", "refine --target='1 + true' --source='1'", 1);
+  ]
+
+let test_cli_cold_warm_identity () =
+  if not (Sys.file_exists exe) then Alcotest.skip ();
+  List.iter
+    (fun (name, args, expect) ->
+      with_tmpdir (fun dir ->
+          let cache = Filename.quote (Filename.concat dir "cache") in
+          let pass tag =
+            let out = Filename.concat dir (tag ^ ".out") in
+            let err = Filename.concat dir (tag ^ ".err") in
+            let code =
+              sh "%s %s --cache=%s > %s 2> %s" exe args cache
+                (Filename.quote out) (Filename.quote err)
+            in
+            (code, read_file out, read_file err)
+          in
+          let c_code, c_out, c_err = pass "cold" in
+          let w_code, w_out, w_err = pass "warm" in
+          let note, w_err =
+            List.partition
+              (String.starts_with ~prefix:"tfiris: cache hit")
+              (String.split_on_char '\n' w_err)
+          in
+          Alcotest.(check int) (name ^ ": exit code") expect c_code;
+          Alcotest.(check bool) (name ^ ": cold misses") false
+            (contains c_err "cache hit");
+          Alcotest.(check int) (name ^ ": warm hits") 1 (List.length note);
+          Alcotest.(check string) (name ^ ": stdout") c_out w_out;
+          Alcotest.(check string) (name ^ ": stderr") c_err
+            (String.concat "\n" w_err);
+          Alcotest.(check int) (name ^ ": warm exit code") c_code w_code))
+    cold_warm_invocations
+
 let suite =
   [
     Alcotest.test_case "certificate JSON golden" `Quick test_cert_golden;
@@ -544,4 +654,10 @@ let suite =
       test_cli_analyze_format_mismatch_runs_fresh;
     Alcotest.test_case "cli: run --stats never replays" `Quick
       test_cli_run_stats_no_replay;
+    Alcotest.test_case "cli: refine key ignores --budget" `Quick
+      test_cli_refine_key_ignores_budget;
+    Alcotest.test_case "cli: analyze replay relabels" `Quick
+      test_cli_analyze_replay_relabels;
+    Alcotest.test_case "cli: cold/warm byte identity" `Quick
+      test_cli_cold_warm_identity;
   ]

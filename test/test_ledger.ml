@@ -272,7 +272,7 @@ let test_cached_field () =
 (* The certificate cache persists keys across processes, so the key
    function must be injective on real inputs (no two corpus tuples
    collide) and byte-stable against a committed golden. *)
-let corpus_key_tuples () =
+let corpus_keys () =
   let dir = "../examples/shl" in
   let files =
     Sys.readdir dir |> Array.to_list
@@ -282,25 +282,27 @@ let corpus_key_tuples () =
   List.concat_map
     (fun f ->
       let e = Shl.Parser.parse_exn (read_file (Filename.concat dir f)) in
-      let program = Shl.Pretty.expr_to_string e in
-      (* the two verify-corpus stages plus a termination spec: distinct
-         engine/spec tuples over the same program text *)
+      (* the requests `run FILE`, `analyze FILE` and `check-term FILE`
+         send: distinct engine/spec tuples over the same program text,
+         keyed exactly as the CLI keys them *)
       [
-        (f, "run", program, "", "shl.machine");
-        (f, "analyze", program, "all", "analysis");
-        (f, "check-term", program, "w", "termination.wp/adaptive");
+        (f, "run", Verdict.key (Verdict.run ~label:f ~engine:`Machine ~stats:false e));
+        ( f,
+          "analyze",
+          Verdict.key
+            (Verdict.analyze ~format:`Text ~fail_on:Analysis.Finding.Error
+               ~passes:Analysis.Analyzer.pass_names ~timings:false ~domains:None
+               [ (f, e) ]) );
+        ( f,
+          "check-term",
+          Verdict.key
+            (Verdict.check_term ~label:f ~explain:false ~credits:Ord.omega e) );
       ])
     files
 
 let test_content_key_injective_on_corpus () =
-  let tuples = corpus_key_tuples () in
-  Alcotest.(check bool) "corpus found" true (List.length tuples >= 3 * 5);
-  let keys =
-    List.map
-      (fun (_, _, program, spec, engine) ->
-        Ledger.content_key ~program ~spec ~engine ~version:Tfiris.version)
-      tuples
-  in
+  let keys = List.map (fun (_, _, key) -> key) (corpus_keys ()) in
+  Alcotest.(check bool) "corpus found" true (List.length keys >= 3 * 5);
   let distinct = List.sort_uniq compare keys in
   Alcotest.(check int) "no two corpus tuples collide" (List.length keys)
     (List.length distinct)
@@ -308,17 +310,13 @@ let test_content_key_injective_on_corpus () =
 let test_content_key_corpus_golden () =
   (* committed golden: one "<key>  <file> <cmd>" line per corpus tuple.
      Regenerate (after an intentional corpus or pretty-printer change)
-     with:  dune exec test/gen_content_keys.exe > test/content_keys.golden *)
+     with:  dune exec test/gen/gen_content_keys.exe > test/content_keys.golden *)
   let expected = read_file "content_keys.golden" in
   let got =
     String.concat ""
       (List.map
-         (fun (f, cmd, program, spec, engine) ->
-           Printf.sprintf "%s  %s %s\n"
-             (Ledger.content_key ~program ~spec ~engine
-                ~version:Tfiris.version)
-             f cmd)
-         (corpus_key_tuples ()))
+         (fun (f, cmd, key) -> Printf.sprintf "%s  %s %s\n" key f cmd)
+         (corpus_keys ()))
   in
   Alcotest.(check string) "corpus content keys byte-stable" expected got
 
