@@ -20,12 +20,15 @@ module Shl = Tfiris.Shl
 module Obs = Tfiris.Obs
 
 let read_file path =
-  try
-    let ic = open_in path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> Ok (really_input_string ic (in_channel_length ic)))
-  with Sys_error m -> Error m
+  if Sys.file_exists path && Sys.is_directory path then
+    Error (path ^ ": is a directory")
+  else
+    try
+      let ic = open_in path in
+      Fun.protect
+        ~finally:(fun () -> close_in_noerr ic)
+        (fun () -> Ok (really_input_string ic (in_channel_length ic)))
+    with Sys_error m -> Error m
 
 (* Programs come back with a display label (the file path, or "<expr>"
    for inline text) — the handle run-ledger records carry. *)
@@ -528,9 +531,13 @@ let analyze_cmd =
                (Printf.sprintf "unknown pass %S (available: %s)" p
                   (String.concat ", " An.pass_names))))
       (only @ skip);
+    (* in the analyzer's own order, whatever the order of the flags: the
+       passes run in that order anyway, and the certificate is keyed on
+       this list *)
     let passes =
-      (match only with [] -> An.pass_names | ps -> ps)
-      |> List.filter (fun p -> not (List.mem p skip))
+      List.filter
+        (fun p -> (only = [] || List.mem p only) && not (List.mem p skip))
+        An.pass_names
     in
     if passes = [] then or_die (Error "every pass is disabled");
     let programs =
@@ -616,16 +623,29 @@ let analyze_cmd =
 (* ---- check-term ---- *)
 
 let parse_credit s =
-  (* "n", "w", "w^w", "w*k", "w+n" — a tiny grammar for common credits *)
-  match int_of_string_opt s with
-  | Some n -> Ok (Ord.of_int n)
-  | None -> (
-    match s with
-    | "w" | "omega" -> Ok Ord.omega
-    | "w^w" -> Ok (Ord.omega_pow Ord.omega)
-    | "w^2" -> Ok (Ord.omega_pow Ord.two)
-    | "w*2" -> Ok (Ord.mul Ord.omega Ord.two)
-    | _ -> Error (Printf.sprintf "cannot parse credit %S (try: 100, w, w*2, w^2, w^w)" s))
+  (* "n", "w", "w+n", "w^w", "w*k" — a tiny grammar for common credits *)
+  let digits t =
+    if t <> "" && String.for_all (fun c -> c >= '0' && c <= '9') t then
+      int_of_string_opt t
+    else None
+  in
+  let omega_plus =
+    match String.index_opt s '+' with
+    | Some i when List.mem (String.sub s 0 i) [ "w"; "omega" ] ->
+      digits (String.sub s (i + 1) (String.length s - i - 1))
+    | _ -> None
+  in
+  match int_of_string_opt s, omega_plus, s with
+  | Some n, _, _ -> Ok (Ord.of_int n)
+  | None, Some n, _ -> Ok (Ord.add Ord.omega (Ord.of_int n))
+  | None, None, ("w" | "omega") -> Ok Ord.omega
+  | None, None, "w^w" -> Ok (Ord.omega_pow Ord.omega)
+  | None, None, "w^2" -> Ok (Ord.omega_pow Ord.two)
+  | None, None, "w*2" -> Ok (Ord.mul Ord.omega Ord.two)
+  | None, None, _ ->
+    Error
+      (Printf.sprintf "cannot parse credit %S (try: 100, w, w+3, w*2, w^2, w^w)"
+         s)
 
 let check_term_cmd =
   let compute ?budget ~credits e () =
@@ -659,7 +679,11 @@ let check_term_cmd =
     Arg.(
       value
       & opt string "w"
-      & info [ "credits" ] ~docv:"ORD" ~doc:"Initial credit (e.g. 100, w, w*2, w^w).")
+      & info [ "credits" ] ~docv:"ORD"
+          ~doc:
+            "Initial credit: a natural number $(b,n), $(b,w) (or \
+             $(b,omega)), $(b,w+n) (or $(b,omega+n)), $(b,w*2), $(b,w^2) or \
+             $(b,w^w).")
   in
   Cmd.v
     (Cmd.info "check-term"

@@ -38,6 +38,11 @@ exception Alloc_failure
 val set_alloc_fault : (int -> bool) -> unit
 val clear_alloc_fault : unit -> unit
 
+val check_fault : int -> unit
+(** [check_fault cells]: consult the hook for an allocation of [cells]
+    cells, raising {!Alloc_failure} when it answers [true] — what
+    {!alloc} does first, for engines that keep their own heap. *)
+
 val equal : t -> t -> bool
 (** Observational equality of the bindings ({!Ast.value_eq}: closures
     are incomparable, so a heap holding one equals nothing). *)

@@ -131,11 +131,11 @@ let eval ?fuel ?budget ?heap e =
   | Value (v, _), _ -> Some v
   | (Stuck _ | Out_of_fuel _), _ -> None
 
-(** [steps_to_value e]: number of steps to reach a value, if reached. *)
-let steps_to_value ?fuel ?heap e =
-  match exec ?fuel ?heap e with
-  | Value _, stats -> Some stats.steps
-  | (Stuck _ | Out_of_fuel _), _ -> None
+(** [steps_to_value e]: number of steps to reach a value, if reached
+    within [fuel] (default 10⁶) — the pre-run count of
+    {!Machine.steps_to_value}. *)
+let steps_to_value ?(fuel = 1_000_000) ?heap e =
+  Machine.steps_to_value ~fuel (Machine.config ?heap e)
 
 (** The finite prefix of the execution trace of [e]: the successive
     configurations, including the initial one.  Like {!exec}, the fuel

@@ -36,6 +36,8 @@ val eval :
 (** The result value; [None] on stuck or budget-exhausted runs. *)
 
 val steps_to_value : ?fuel:int -> ?heap:Heap.t -> Ast.expr -> int option
+(** Steps to reach a value, if at most [fuel] (default 10⁶): the count
+    of {!Machine.steps_to_value}, from [heap] (default empty). *)
 
 val trace : ?fuel:int -> ?heap:Heap.t -> Ast.expr -> Step.config list
 (** The finite prefix of the execution trace, initial configuration

@@ -162,22 +162,10 @@ let prim_step (c : config) : (config * Step.kind, Step.error) result =
 (** [steps_to_value c]: how many steps [c] takes to reach a value, when
     that is at most [fuel] (default 10⁷); [None] when it needs more, or
     gets stuck on the way.  The oracle pre-runs of the termination and
-    refinement drivers spend most of their time here, so it is {!step}
-    inlined: it drives {!Step.head_step} and {!norm} directly and builds
-    no [Stepped] per step. *)
+    refinement drivers need only this count, so they run on the
+    environment machine of {!Prerun}, which builds no terms. *)
 let steps_to_value ?(fuel = 10_000_000) (c : config) : int option =
-  let rec go heap (th : t) n k =
-    match th.focus, th.ctx with
-    | Val _, [] -> Some k
-    | r, ctx -> (
-      match Step.head_step heap r with
-      | Step.No_step -> None
-      | Step.Pure_step e' ->
-        if n = 0 then None else go heap (norm ctx e') (n - 1) (k + 1)
-      | Step.Heap_step (e', heap', _) ->
-        if n = 0 then None else go heap' (norm ctx e') (n - 1) (k + 1))
-  in
-  go c.heap c.thread fuel 0
+  Prerun.steps_to_value ~fuel c.heap (plug c.thread)
 
 (** {1 Differential (lockstep) mode}
 

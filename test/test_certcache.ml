@@ -460,6 +460,30 @@ let test_cli_analyze_fail_on_replay () =
       Alcotest.(check string) "report byte-identical" (read_file out1)
         (read_file out2))
 
+(* The passes run in the analyzer's own order whatever the order of the
+   [--pass] flags, so the certificate is keyed on that order too: the
+   same selection spelled the other way round replays. *)
+let test_cli_analyze_pass_order_hits () =
+  if not (Sys.file_exists exe) then Alcotest.skip ();
+  with_tmpdir (fun dir ->
+      let cache = Filename.concat dir "cache" in
+      let out1 = Filename.concat dir "out1" in
+      let out2 = Filename.concat dir "out2" in
+      let err2 = Filename.concat dir "err2" in
+      let analyze passes out err =
+        sh "%s analyze --format=json-stable %s -e 'let x = 1 in 2' --cache=%s \
+            > %s 2> %s"
+          exe passes (Filename.quote cache) (Filename.quote out) err
+      in
+      Alcotest.(check int) "cold run" 0
+        (analyze "--pass=symheap --pass=scope" out1 "/dev/null");
+      Alcotest.(check int) "warm run, passes swapped" 0
+        (analyze "--pass=scope --pass=symheap" out2 (Filename.quote err2));
+      Alcotest.(check bool) "the swapped selection replayed" true
+        (contains (read_file err2) "cache hit");
+      Alcotest.(check string) "report byte-identical" (read_file out1)
+        (read_file out2))
+
 (* A certificate stores only the json-stable report: a warm run asking
    for another format must compute fresh (byte-identical to an uncached
    run), never dump the stored json-stable form instead. *)
@@ -650,6 +674,8 @@ let suite =
       test_cli_verify_corpus;
     Alcotest.test_case "cli: replayed analyze honours --fail-on" `Quick
       test_cli_analyze_fail_on_replay;
+    Alcotest.test_case "cli: analyze pass order does not move the key" `Quick
+      test_cli_analyze_pass_order_hits;
     Alcotest.test_case "cli: analyze format mismatch runs fresh" `Quick
       test_cli_analyze_format_mismatch_runs_fresh;
     Alcotest.test_case "cli: run --stats never replays" `Quick

@@ -8,6 +8,7 @@ let () =
       ("tauto", Test_tauto.suite);
       ("shl", Test_shl.suite);
       ("machine", Test_machine.suite);
+      ("prerun", Test_prerun.suite);
       ("safety", Test_safety.suite);
       ("types", Test_types.suite);
       ("concurrent", Test_conc.suite);

@@ -733,6 +733,49 @@ let test_fuel_exact () =
     "diverges_beyond is strict" false
     (Shl.Interp.diverges_beyond n e)
 
+(* The oracle pre-run is visible: one [machine.prerun] span per call
+   (never per step), opened with the fuel and closed with the steps
+   walked, and the same steps on the [machine.prerun.steps] counter —
+   for a run that reaches a value and for one that exhausts its fuel. *)
+let test_prerun_span_and_counter () =
+  let sink, contents = Trace.memory_sink ~capacity:64 () in
+  let prev = Trace.install sink in
+  let counts =
+    with_metrics (fun () ->
+        let counts =
+          Fun.protect
+            ~finally:(fun () -> Trace.restore prev)
+            (fun () ->
+              List.map
+                (fun (src, fuel) ->
+                  Shl.Machine.steps_to_value ~fuel
+                    (Shl.Machine.config (Shl.Parser.parse_exn src)))
+                [ ("1 + 2 + 3", 100); ("(rec f n. f n) 0", 1000) ])
+        in
+        Alcotest.(check (option int))
+          "counter: 2 + 1000 steps" (Some 1002)
+          (Metrics.counter_value (Metrics.snapshot ()) "machine.prerun.steps");
+        counts)
+  in
+  Alcotest.(check (list (option int))) "counts" [ Some 2; None ] counts;
+  let spans =
+    List.filter_map
+      (fun (ev : Trace.event) ->
+        if ev.Trace.name = "machine.prerun" then Some (ev.Trace.phase, ev.Trace.attrs)
+        else None)
+      (contents ())
+  in
+  let attrs phase =
+    List.filter_map (fun (p, a) -> if p = phase then Some a else None) spans
+  in
+  Alcotest.(check int) "two spans, no per-step events" 4 (List.length spans);
+  Alcotest.(check bool) "opened with the fuel" true
+    (List.map (List.assoc_opt "fuel") (attrs Trace.Span_begin)
+    = [ Some (Trace.I 100); Some (Trace.I 1000) ]);
+  Alcotest.(check bool) "closed with the steps walked" true
+    (List.map (List.assoc_opt "steps") (attrs Trace.Span_end)
+    = [ Some (Trace.I 2); Some (Trace.I 1000) ])
+
 let suite =
   [
     Alcotest.test_case "span nesting" `Quick test_span_nesting;
@@ -776,4 +819,6 @@ let suite =
       test_json_nonfinite_floats;
     interp_counters_agree;
     Alcotest.test_case "fuel bound is exact" `Quick test_fuel_exact;
+    Alcotest.test_case "pre-run span and counter" `Quick
+      test_prerun_span_and_counter;
   ]

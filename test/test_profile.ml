@@ -246,6 +246,52 @@ let test_cli_profile_symheap () =
   Alcotest.(check bool) "fixpoint span closes with rounds = 4" true
     (rounds = [ Trace.I 4 ])
 
+(* The adaptive strategy's pre-run shows under the credit checker:
+   `profile -- check-term` on a diverging loop has the 10⁷-step walk as
+   a [machine.prerun] child of [wp.run], and `--metrics` prints the
+   steps it walked — with a plain ω credit and with ω+3, whose finite
+   part is spent before the pre-run instantiates the limit. *)
+let test_cli_profile_prerun () =
+  let exe = "../bin/tfiris_cli.exe" in
+  if not (Sys.file_exists exe) then Alcotest.skip ();
+  let collapsed = Filename.temp_file "tfiris_profile" ".collapsed" in
+  let cmd =
+    Printf.sprintf
+      "%s profile --collapsed=%s -- check-term -e '(rec f n. f n) 0' > \
+       /dev/null 2>&1"
+      exe (Filename.quote collapsed)
+  in
+  Alcotest.(check int) "rejected: exit 1 forwarded" 1 (Sys.command cmd);
+  let stacks = In_channel.with_open_bin collapsed In_channel.input_lines in
+  Sys.remove collapsed;
+  Alcotest.(check bool) "machine.prerun under wp.run" true
+    (List.exists
+       (String.starts_with ~prefix:"(root);wp.run;machine.prerun ")
+       stacks);
+  List.iter
+    (fun credits ->
+      let out = Filename.temp_file "tfiris_prerun" ".out" in
+      let code =
+        Sys.command
+          (Printf.sprintf
+             "%s check-term --credits=%s --metrics -e '(rec f n. f n) 0' > %s \
+              2>&1"
+             exe credits (Filename.quote out))
+      in
+      let lines = In_channel.with_open_bin out In_channel.input_lines in
+      Sys.remove out;
+      Alcotest.(check int) (credits ^ ": rejected") 1 code;
+      Alcotest.(check bool)
+        (credits ^ ": 10⁷ pre-run steps")
+        true
+        (List.exists
+           (fun l ->
+             match String.split_on_char ' ' l |> List.filter (( <> ) "") with
+             | [ "machine.prerun.steps"; n ] -> n = "10000000"
+             | _ -> false)
+           lines))
+    [ "w"; "w+3" ]
+
 let suite =
   [
     Alcotest.test_case "nested span arithmetic" `Quick test_nested_arithmetic;
@@ -261,4 +307,6 @@ let suite =
     Alcotest.test_case "cli profile subcommand" `Quick test_cli_profile;
     Alcotest.test_case "cli profile of analyze: symheap spans" `Quick
       test_cli_profile_symheap;
+    Alcotest.test_case "cli profile of check-term: pre-run span" `Quick
+      test_cli_profile_prerun;
   ]

@@ -355,7 +355,22 @@ let test_cli_structured_errors () =
           if contains ~affix:marker text then
             Alcotest.failf "%S: unstructured failure leaked:\n%s" args text)
         [ "Fatal error"; "Raised at"; "Raised by" ])
-    cli_garbage_inputs
+    cli_garbage_inputs;
+  (* a directory given as the program is named in the error, exit 2 *)
+  List.iter
+    (fun cmd ->
+      let out = Filename.temp_file "tfiris_chaos_cli" ".err" in
+      let code =
+        Sys.command
+          (Printf.sprintf "%s %s ../examples/shl > %s 2>&1" exe cmd out)
+      in
+      let text = In_channel.with_open_bin out In_channel.input_all in
+      Sys.remove out;
+      Alcotest.(check int) (cmd ^ " DIR: exit code") 2 code;
+      Alcotest.(check string)
+        (cmd ^ " DIR: message")
+        "tfiris: ../examples/shl: is a directory\n" text)
+    [ "run"; "analyze"; "check-term" ]
 
 let suite =
   [

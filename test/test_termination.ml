@@ -198,6 +198,38 @@ let test_event_loop_dynamic () =
   | Wp.Rejected (Wp.Gave_up, _) -> ()
   | v -> Alcotest.failf "finite budget unexpectedly: %a" Wp.pp_verdict v
 
+(* The ω+n credit form through the binary: it pays for n steps and
+   then instantiates ω, so a countdown terminates; a diverging loop is
+   rejected once the pre-run finds no bound. *)
+let test_cli_omega_plus_credit () =
+  let exe = "../bin/tfiris_cli.exe" in
+  if not (Sys.file_exists exe) then Alcotest.skip ();
+  let check_term credits src =
+    let out = Filename.temp_file "tfiris_credit" ".out" in
+    let code =
+      Sys.command
+        (Printf.sprintf "%s check-term --credits=%s -e '%s' > %s 2>&1" exe
+           credits src (Filename.quote out))
+    in
+    let text = In_channel.with_open_bin out In_channel.input_all in
+    Sys.remove out;
+    (code, text)
+  in
+  let countdown = "(rec f n. if n = 0 then 0 else f (n - 1)) 10" in
+  List.iter
+    (fun credits ->
+      let code, text = check_term credits countdown in
+      Alcotest.(check int) (credits ^ ": countdown accepted") 0 code;
+      Alcotest.(check bool) (credits ^ ": terminated") true
+        (String.starts_with ~prefix:"terminated" text))
+    [ "w+3"; "omega+3"; "w+0" ];
+  let code, _ = check_term "w+3" "(rec f n. f n) 0" in
+  Alcotest.(check int) "w+3: diverging loop rejected" 1 code;
+  let code, text = check_term "w+x" countdown in
+  Alcotest.(check int) "w+x: usage error" 2 code;
+  Alcotest.(check bool) "the hint names w+n" true
+    (List.mem "w+3," (String.split_on_char ' ' text))
+
 (* ---------- properties ---------- *)
 
 let theorem_5_1_prop =
@@ -264,6 +296,7 @@ let suite =
       test_event_loop_reentrant;
     Alcotest.test_case "event loop: dynamic reentrancy" `Quick
       test_event_loop_dynamic;
+    Alcotest.test_case "cli: ω+n credits" `Quick test_cli_omega_plus_credit;
     theorem_5_1_prop;
     countdown_tight_prop;
   ]
